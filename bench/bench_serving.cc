@@ -13,9 +13,13 @@
 // Requests mix in-vocabulary rows with OOV categoricals and out-of-range
 // numericals, so the UNK/clamp paths are part of the measured steady state.
 //
-// Per-cell latency percentiles come from PredictResult::latency_seconds —
-// service-clock submit-to-terminal time — and shed/overload/expired rates
-// come from counter deltas.
+// Per-cell latency is timed from each request's scheduled arrival: the
+// generator's lateness (submit time − scheduled arrival) plus
+// PredictResult::latency_seconds, the service-clock submit-to-terminal
+// time. A generator that falls behind its schedule therefore shows up in
+// p50/p99 instead of silently thinning the offered load, and each open-loop
+// row reports the lateness itself as late_p99_ms. Shed/overload/expired
+// rates come from counter deltas.
 //
 // Report schema is v3: on top of the v2 sweep/* and reload/under_load rows,
 // a drift/shadow sweep (DESIGN.md §16) runs arrival shapes (steady,
@@ -42,6 +46,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "armor/evaluator.h"
@@ -74,47 +79,58 @@ double Percentile(std::vector<double> sorted, double p) {
   return sorted[idx];
 }
 
-// Outcome of one open-loop run: arrivals issued at the offered rate with
-// exponential gaps, every ticket waited at the end.
+// Outcome of one open-loop run: arrivals issued on a schedule, every ticket
+// waited at the end.
 struct OpenLoopResult {
   double wall_seconds = 0;
   double throughput_rps = 0;  // completed-ok per wall second
-  double p50_ms = 0;          // service-clock latency of completed requests
+  double p50_ms = 0;  // scheduled arrival to terminal, completed requests
   double p99_ms = 0;
   double max_ms = 0;
+  double late_p99_ms = 0;  // generator lateness against the schedule, p99
   int64_t completed = 0;
   int64_t shed = 0;
   int64_t overloaded = 0;
   int64_t expired = 0;
 };
 
-// Drives `arrivals` Poisson arrivals at `rate_rps` against `service`.
-// Pacing is deficit-based: the generator sleeps only when ahead of the
-// arrival schedule, so coarse OS sleep granularity cannot deflate the
-// offered rate.
-OpenLoopResult RunOpenLoop(serve::PredictionService& service, int arrivals,
-                           double rate_rps, uint64_t seed) {
-  Rng rng(seed);
+// The one open-loop driver. Arrival i is due `gap(i)` after arrival i - 1;
+// `request(i, now)` builds its cells (`now` is seconds since the run
+// began) and `poll(now)` runs after every submit and every wait. Pacing is
+// deficit-based: the generator sleeps only when ahead of the schedule, so
+// coarse OS sleep granularity cannot deflate the offered rate, and when it
+// falls behind, the lateness is charged to the request's latency.
+OpenLoopResult RunPaced(
+    serve::PredictionService& service, int arrivals,
+    const std::function<double(int)>& gap,
+    const std::function<std::vector<std::string>(int, double)>& request,
+    const std::function<void(double)>& poll) {
   const serve::ServeCounters before = service.counters();
   std::vector<std::shared_ptr<serve::PendingPrediction>> tickets;
+  std::vector<double> late_seconds;
   tickets.reserve(static_cast<size_t>(arrivals));
+  late_seconds.reserve(static_cast<size_t>(arrivals));
   Stopwatch watch;
-  double next_arrival = 0;
+  double due = 0;
   for (int i = 0; i < arrivals; ++i) {
-    next_arrival += -std::log(1.0 - rng.Uniform()) / rate_rps;
-    const double ahead = next_arrival - watch.ElapsedSeconds();
+    due += gap(i);
+    const double ahead = due - watch.ElapsedSeconds();
     if (ahead > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(ahead));
     }
-    tickets.push_back(service.Submit(MakeRequest(i), /*deadline=*/5.0));
+    const std::vector<std::string> cells = request(i, watch.ElapsedSeconds());
+    late_seconds.push_back(std::max(0.0, watch.ElapsedSeconds() - due));
+    tickets.push_back(service.Submit(cells, /*deadline=*/5.0));
+    poll(watch.ElapsedSeconds());
   }
   std::vector<double> latencies_ms;
   latencies_ms.reserve(tickets.size());
-  for (const auto& ticket : tickets) {
-    const serve::PredictResult& result = ticket->Wait();
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    const serve::PredictResult& result = tickets[i]->Wait();
     if (result.code == serve::ServeCode::kOk) {
-      latencies_ms.push_back(result.latency_seconds * 1e3);
+      latencies_ms.push_back((late_seconds[i] + result.latency_seconds) * 1e3);
     }
+    poll(watch.ElapsedSeconds());
   }
   OpenLoopResult out;
   out.wall_seconds = watch.ElapsedSeconds();
@@ -129,7 +145,19 @@ OpenLoopResult RunOpenLoop(serve::PredictionService& service, int arrivals,
   out.p50_ms = Percentile(latencies_ms, 0.5);
   out.p99_ms = Percentile(latencies_ms, 0.99);
   out.max_ms = latencies_ms.empty() ? 0 : latencies_ms.back();
+  std::sort(late_seconds.begin(), late_seconds.end());
+  out.late_p99_ms = Percentile(late_seconds, 0.99) * 1e3;
   return out;
+}
+
+// Drives `arrivals` Poisson arrivals at `rate_rps` against `service`.
+OpenLoopResult RunOpenLoop(serve::PredictionService& service, int arrivals,
+                           double rate_rps, uint64_t seed) {
+  Rng rng(seed);
+  return RunPaced(
+      service, arrivals,
+      [&](int) { return -std::log(1.0 - rng.Uniform()) / rate_rps; },
+      [](int i, double) { return MakeRequest(i); }, [](double) {});
 }
 
 // --- Drift/shadow shape sweep (DESIGN.md §16) ----------------------------
@@ -203,57 +231,25 @@ ShapeCellResult RunShapedCell(serve::PredictionService& service, ArrivalShape sh
                               uint64_t seed) {
   Rng rng(seed);
   const int onset = hostile ? arrivals * 2 / 5 : arrivals;
-  const serve::ServeCounters before = service.counters();
-  std::vector<std::shared_ptr<serve::PendingPrediction>> tickets;
-  tickets.reserve(static_cast<size_t>(arrivals));
   ShapeCellResult out;
-  Stopwatch watch;
-  double next_arrival = 0;
   double onset_seconds = -1;
-  auto poll_alert = [&] {
-    if (!out.drift_alerted && service.DriftAlertActive()) {
-      out.drift_alerted = true;
-      out.drift_alert_ms =
-          (watch.ElapsedSeconds() - std::max(onset_seconds, 0.0)) * 1e3;
-    }
-  };
-  for (int i = 0; i < arrivals; ++i) {
-    next_arrival += NextGap(shape, i, arrivals, rate_rps, rng);
-    const double ahead = next_arrival - watch.ElapsedSeconds();
-    if (ahead > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(ahead));
-    }
-    const bool hot = i >= onset;
-    if (hot && onset_seconds < 0) onset_seconds = watch.ElapsedSeconds();
-    tickets.push_back(
-        service.Submit(hot ? HostileRequest(i) : CleanRequest(i),
-                       /*deadline=*/5.0));
-    poll_alert();
-  }
-  std::vector<double> latencies_ms;
-  latencies_ms.reserve(tickets.size());
-  for (const auto& ticket : tickets) {
-    const serve::PredictResult& result = ticket->Wait();
-    if (result.code == serve::ServeCode::kOk) {
-      latencies_ms.push_back(result.latency_seconds * 1e3);
-    }
-    poll_alert();
-  }
-  // Every ticket is terminal, so the queue fully drained and the last
-  // drain-path alert evaluation already ran: this check is authoritative.
-  poll_alert();
-  out.loop.wall_seconds = watch.ElapsedSeconds();
-  const serve::ServeCounters after = service.counters();
-  out.loop.completed = after.completed_ok - before.completed_ok;
-  out.loop.shed = after.shed - before.shed;
-  out.loop.overloaded = after.rejected_overload - before.rejected_overload;
-  out.loop.expired = after.expired - before.expired;
-  out.loop.throughput_rps = static_cast<double>(out.loop.completed) /
-                            std::max(out.loop.wall_seconds, 1e-9);
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  out.loop.p50_ms = Percentile(latencies_ms, 0.5);
-  out.loop.p99_ms = Percentile(latencies_ms, 0.99);
-  out.loop.max_ms = latencies_ms.empty() ? 0 : latencies_ms.back();
+  // The last poll follows the last Wait: every ticket is terminal, so the
+  // queue fully drained and the last drain-path alert evaluation already
+  // ran — that check is authoritative.
+  out.loop = RunPaced(
+      service, arrivals,
+      [&](int i) { return NextGap(shape, i, arrivals, rate_rps, rng); },
+      [&](int i, double now) {
+        const bool hot = i >= onset;
+        if (hot && onset_seconds < 0) onset_seconds = now;
+        return hot ? HostileRequest(i) : CleanRequest(i);
+      },
+      [&](double now) {
+        if (!out.drift_alerted && service.DriftAlertActive()) {
+          out.drift_alerted = true;
+          out.drift_alert_ms = (now - std::max(onset_seconds, 0.0)) * 1e3;
+        }
+      });
   return out;
 }
 
@@ -433,6 +429,7 @@ int main(int argc, char** argv) {
       row.metrics.push_back({"throughput_rps", r.throughput_rps});
       row.metrics.push_back({"p50_ms", r.p50_ms});
       row.metrics.push_back({"p99_ms", r.p99_ms});
+      row.metrics.push_back({"late_p99_ms", r.late_p99_ms});
       const double denom = static_cast<double>(sweep_requests);
       row.metrics.push_back(
           {"shed_rate", static_cast<double>(r.shed) / denom});
@@ -495,6 +492,7 @@ int main(int argc, char** argv) {
     row.cv = churn_reload_cv;
     row.metrics.push_back({"p99_ms", under.p99_ms});
     row.metrics.push_back({"max_ms", under.max_ms});
+    row.metrics.push_back({"late_p99_ms", under.late_p99_ms});
     row.counters.push_back(
         {"reloads", static_cast<int64_t>(reload_ms.size())});
     row.counters.push_back({"completed_ok", under.completed});
@@ -578,6 +576,7 @@ int main(int argc, char** argv) {
       row.metrics.push_back({"throughput_rps", r.loop.throughput_rps});
       row.metrics.push_back({"p50_ms", r.loop.p50_ms});
       row.metrics.push_back({"p99_ms", r.loop.p99_ms});
+      row.metrics.push_back({"late_p99_ms", r.loop.late_p99_ms});
       row.metrics.push_back({"shadow_mean_abs_delta", shadow.mean_abs_delta});
       row.metrics.push_back({"shadow_p99_abs_delta", shadow.p99_abs_delta});
       row.metrics.push_back(

@@ -42,7 +42,8 @@ class Embedding : public Module {
 
   // Installs `store` as the no-grad lookup route. The store's geometry must
   // match this table. Not synchronized: the owner (PredictionService)
-  // quiesces in-flight forwards before swapping.
+  // swaps only inside a write on the model's slot, with no forward in
+  // flight.
   void AttachStore(std::shared_ptr<const QuantizedTable> store) {
     ARMNET_CHECK(store != nullptr);
     ARMNET_CHECK(store->rows() == num_rows_ && store->width() == width_)

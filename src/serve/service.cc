@@ -36,20 +36,50 @@ int64_t ReadyLowWatermark(const ServeOptions& options) {
                                           : options.queue_capacity / 2;
 }
 
-// Strips any quantized embedding store from `model`'s module tree; returns
-// how many embeddings were carrying one. Caller guarantees no concurrent
-// forward (quiesced slot).
-int DetachEmbeddingStores(models::TabularModel& model) {
-  int detached = 0;
+// Strips any quantized embedding store from `model`'s module tree. Caller
+// holds a write on the model's slot.
+void DetachEmbeddingStores(models::TabularModel& model) {
   for (nn::Module* m : model.SelfAndDescendants()) {
     auto* embedding = dynamic_cast<nn::Embedding*>(m);
     if (embedding != nullptr && embedding->store() != nullptr) {
       embedding->DetachStore();
-      ++detached;
     }
   }
-  return detached;
 }
+
+// Every ServeCounters field with its run-metrics name, in snapshot order:
+// MergeFrom and CounterSnapshot both walk this one table.
+struct CounterField {
+  const char* name;
+  int64_t ServeCounters::*field;
+};
+
+constexpr CounterField kCounterFields[] = {
+    {"serve/submitted", &ServeCounters::submitted},
+    {"serve/rejected_invalid", &ServeCounters::rejected_invalid},
+    {"serve/rejected_overload", &ServeCounters::rejected_overload},
+    {"serve/shed", &ServeCounters::shed},
+    {"serve/expired", &ServeCounters::expired},
+    {"serve/completed_ok", &ServeCounters::completed_ok},
+    {"serve/degraded_fallback", &ServeCounters::degraded_fallback},
+    {"serve/degraded_prior", &ServeCounters::degraded_prior},
+    {"serve/failed", &ServeCounters::failed},
+    {"serve/oov_fields", &ServeCounters::oov_fields},
+    {"serve/clamped_fields", &ServeCounters::clamped_fields},
+    {"serve/batches", &ServeCounters::batches},
+    {"serve/reloads_ok", &ServeCounters::reloads_ok},
+    {"serve/reloads_rejected", &ServeCounters::reloads_rejected},
+    {"serve/drift_alerts", &ServeCounters::drift_alerts},
+    {"serve/shadow_loads", &ServeCounters::shadow_loads},
+    {"serve/shadow_loads_rejected", &ServeCounters::shadow_loads_rejected},
+    {"serve/shadow_mirrored_batches", &ServeCounters::shadow_mirrored_batches},
+    {"serve/shadow_mirrored_rows", &ServeCounters::shadow_mirrored_rows},
+    {"serve/shadow_failures", &ServeCounters::shadow_failures},
+    {"serve/shadow_promotions_ok", &ServeCounters::shadow_promotions_ok},
+    {"serve/shadow_promotions_refused",
+     &ServeCounters::shadow_promotions_refused},
+    {"serve/shadow_dismissed", &ServeCounters::shadow_dismissed},
+};
 
 }  // namespace
 
@@ -70,29 +100,7 @@ const char* ServeCodeName(ServeCode code) {
 }
 
 void ServeCounters::MergeFrom(const ServeCounters& other) {
-  submitted += other.submitted;
-  rejected_invalid += other.rejected_invalid;
-  rejected_overload += other.rejected_overload;
-  shed += other.shed;
-  expired += other.expired;
-  completed_ok += other.completed_ok;
-  degraded_fallback += other.degraded_fallback;
-  degraded_prior += other.degraded_prior;
-  failed += other.failed;
-  oov_fields += other.oov_fields;
-  clamped_fields += other.clamped_fields;
-  batches += other.batches;
-  reloads_ok += other.reloads_ok;
-  reloads_rejected += other.reloads_rejected;
-  drift_alerts += other.drift_alerts;
-  shadow_loads += other.shadow_loads;
-  shadow_loads_rejected += other.shadow_loads_rejected;
-  shadow_mirrored_batches += other.shadow_mirrored_batches;
-  shadow_mirrored_rows += other.shadow_mirrored_rows;
-  shadow_failures += other.shadow_failures;
-  shadow_promotions_ok += other.shadow_promotions_ok;
-  shadow_promotions_refused += other.shadow_promotions_refused;
-  shadow_dismissed += other.shadow_dismissed;
+  for (const CounterField& f : kCounterFields) this->*f.field += other.*f.field;
 }
 
 // --- PendingPrediction -------------------------------------------------------
@@ -129,14 +137,11 @@ PredictionService::PredictionService(models::TabularModel* model,
                                      models::TabularModel* fallback,
                                      models::TabularModel* standby,
                                      models::TabularModel* shadow)
-    : slots_{model, standby},
-      fallback_(fallback),
-      space_(std::move(space)),
+    : space_(std::move(space)),
       options_(std::move(options)),
       clock_(clock != nullptr ? clock : &own_clock_),
       breaker_(options_.breaker, clock != nullptr ? clock : &own_clock_),
-      policy_(PolicyOptions(options_)),
-      shadow_slot_(shadow) {
+      policy_(PolicyOptions(options_)) {
   ARMNET_CHECK(model != nullptr) << "PredictionService needs a model";
   ARMNET_CHECK(standby != model) << "standby must be a distinct model copy";
   ARMNET_CHECK(shadow == nullptr || (shadow != model && shadow != standby))
@@ -144,6 +149,10 @@ PredictionService::PredictionService(models::TabularModel* model,
   ARMNET_CHECK_GE(options_.queue_capacity, 1);
   ARMNET_CHECK_GE(options_.max_batch_size, 1);
   ARMNET_CHECK_GE(options_.num_workers, 1);
+  slots_[0].model = model;
+  slots_[1].model = standby;
+  slots_[kShadowSlot].model = shadow;
+  slots_[kFallbackSlot].model = fallback;
   // Shard 0 is the submit path (and manual DrainOnce); worker i gets i + 1.
   shards_.reserve(static_cast<size_t>(options_.num_workers) + 1);
   for (int i = 0; i <= options_.num_workers; ++i) {
@@ -155,20 +164,21 @@ PredictionService::PredictionService(models::TabularModel* model,
                                           options_.num_workers + 1);
   // Eval mode for the service's whole lifetime: a per-forward mode guard
   // would be a write race between workers sharing one module tree.
-  model->SetTraining(false);
-  if (standby != nullptr) standby->SetTraining(false);
-  if (fallback != nullptr) fallback->SetTraining(false);
-  if (shadow != nullptr) shadow->SetTraining(false);
-  // Compiled inference per model slot. Warming the active slot at the
+  for (Slot& slot : slots_) {
+    if (slot.model != nullptr) slot.model->SetTraining(false);
+  }
+  // Compiled inference per primary slot. Warming the active slot at the
   // micro-batch cap front-loads the most common trace; other batch sizes
   // compile lazily on first sight. A failed warm is an incident, not an
   // error: those batches serve interpreted.
-  predictors_[0] = std::make_unique<plan::CompiledPredictor>(model);
-  if (standby != nullptr) {
-    predictors_[1] = std::make_unique<plan::CompiledPredictor>(standby);
+  for (int i = 0; i < 2; ++i) {
+    if (slots_[i].model != nullptr) {
+      slots_[i].predictor =
+          std::make_unique<plan::CompiledPredictor>(slots_[i].model);
+    }
   }
   Status warmed =
-      predictors_[0]->Warm(options_.max_batch_size, space_.num_fields());
+      slots_[0].predictor->Warm(options_.max_batch_size, space_.num_fields());
   if (!warmed.ok()) {
     RecordIncident("compiled-plan warm failed, serving interpreted: " +
                    warmed.message());
@@ -205,10 +215,8 @@ void PredictionService::Shutdown() {
     MutexLock lock(queue_mutex_);
     leftover.swap(queue_);
   }
-  if (!leftover.empty()) {
-    MutexLock guard(shards_[0]->mutex);
-    shards_[0]->counters.failed += static_cast<int64_t>(leftover.size());
-  }
+  shards_[0]->Add(&ServeCounters::failed,
+                  static_cast<int64_t>(leftover.size()));
   for (const auto& pending : leftover) {
     CompleteTerminal(*pending, ServeCode::kUnavailable,
                      "service shutting down");
@@ -221,19 +229,13 @@ std::shared_ptr<PendingPrediction> PredictionService::Submit(
   auto pending = std::make_shared<PendingPrediction>();
   pending->submitted_at_ = clock_->NowSeconds();
   CounterShard& shard = *shards_[0];
-  {
-    MutexLock guard(shard.mutex);
-    ++shard.counters.submitted;
-  }
+  shard.Add(&ServeCounters::submitted, 1);
 
   data::MappedRow mapped;
   Status status = space_.MapRow(cells, &mapped);
   if (!status.ok()) {
     ARMNET_PROFILE_COUNT("serve/rejected_invalid", 1);
-    {
-      MutexLock guard(shard.mutex);
-      ++shard.counters.rejected_invalid;
-    }
+    shard.Add(&ServeCounters::rejected_invalid, 1);
     CompleteTerminal(*pending, ServeCode::kInvalidArgument, status.message());
     return pending;
   }
@@ -246,9 +248,8 @@ std::shared_ptr<PendingPrediction> PredictionService::Submit(
   if (mapped.oov_fields > 0 || mapped.clamped_fields > 0) {
     ARMNET_PROFILE_COUNT("serve/oov_fields", mapped.oov_fields);
     ARMNET_PROFILE_COUNT("serve/clamped_fields", mapped.clamped_fields);
-    MutexLock guard(shard.mutex);
-    shard.counters.oov_fields += mapped.oov_fields;
-    shard.counters.clamped_fields += mapped.clamped_fields;
+    shard.Add(&ServeCounters::oov_fields, mapped.oov_fields);
+    shard.Add(&ServeCounters::clamped_fields, mapped.clamped_fields);
   }
 
   const double budget = deadline_seconds < 0
@@ -257,10 +258,7 @@ std::shared_ptr<PendingPrediction> PredictionService::Submit(
   pending->deadline_ = pending->submitted_at_ + budget;
   if (budget <= 0) {
     ARMNET_PROFILE_COUNT("serve/expired", 1);
-    {
-      MutexLock guard(shard.mutex);
-      ++shard.counters.expired;
-    }
+    shard.Add(&ServeCounters::expired, 1);
     CompleteTerminal(*pending, ServeCode::kDeadlineExceeded,
                      "deadline expired before admission");
     return pending;
@@ -303,20 +301,14 @@ std::shared_ptr<PendingPrediction> PredictionService::Submit(
     // Lost the race with Shutdown: still a typed terminal, never a hung
     // ticket.
     ARMNET_PROFILE_COUNT("serve/failed", 1);
-    {
-      MutexLock guard(shard.mutex);
-      ++shard.counters.failed;
-    }
+    shard.Add(&ServeCounters::failed, 1);
     CompleteTerminal(*pending, ServeCode::kUnavailable,
                      "service shutting down");
     return pending;
   }
   if (!admitted) {
     ARMNET_PROFILE_COUNT("serve/rejected_overload", 1);
-    {
-      MutexLock guard(shard.mutex);
-      ++shard.counters.rejected_overload;
-    }
+    shard.Add(&ServeCounters::rejected_overload, 1);
     CompleteTerminal(*pending, ServeCode::kOverloaded,
                      StrFormat("queue at capacity (%lld)",
                                static_cast<long long>(
@@ -325,10 +317,7 @@ std::shared_ptr<PendingPrediction> PredictionService::Submit(
   }
   if (!victims.empty()) {
     ARMNET_PROFILE_COUNT("serve/shed", static_cast<int64_t>(victims.size()));
-    {
-      MutexLock guard(shard.mutex);
-      shard.counters.shed += static_cast<int64_t>(victims.size());
-    }
+    shard.Add(&ServeCounters::shed, static_cast<int64_t>(victims.size()));
     for (const auto& victim : victims) {
       CompleteTerminal(*victim, ServeCode::kOverloaded,
                        StrFormat("shed past high watermark (%lld)",
@@ -384,10 +373,7 @@ int64_t PredictionService::DrainBatch(int shard_index) {
       live.push_back(std::move(pending));
     }
   }
-  if (newly_expired > 0) {
-    MutexLock guard(shard.mutex);
-    shard.counters.expired += newly_expired;
-  }
+  if (newly_expired > 0) shard.Add(&ServeCounters::expired, newly_expired);
   if (!live.empty()) ProcessBatch(live, shard_index);
   return static_cast<int64_t>(taken.size());
 }
@@ -437,21 +423,61 @@ void PredictionService::WorkerLoop(int worker_index) {
   }
 }
 
-models::TabularModel* PredictionService::AcquireActiveModel(int* slot) {
+// --- Model slots -------------------------------------------------------------
+
+int PredictionService::BeginRead(int slot) {
+  const bool active = slot == kActiveSlot;
   MutexLock lock(model_mutex_);
-  // Only an in-place (no-standby) reload ever makes readers wait; the RCU
-  // path swaps the active index without touching quiescing_.
-  model_cv_.Wait(model_mutex_,
-                 [this]() ARMNET_REQUIRES(model_mutex_) { return !quiescing_; });
-  *slot = active_index_;
-  ++slot_readers_[active_index_];
-  return slots_[active_index_];
+  model_cv_.Wait(model_mutex_, [&]() ARMNET_REQUIRES(model_mutex_) {
+    if (active) slot = active_index_;
+    return !state_[slot].writing;
+  });
+  ++state_[slot].readers;
+  return slot;
 }
 
-void PredictionService::ReleaseActiveModel(int slot) {
+void PredictionService::EndRead(int slot) {
+  bool wake_writer = false;
+  {
+    MutexLock lock(model_mutex_);
+    SlotState& state = state_[slot];
+    wake_writer = --state.readers == 0 && state.writing;
+  }
+  if (wake_writer) model_cv_.NotifyAll();
+}
+
+void PredictionService::BeginWrite(int slot) {
   MutexLock lock(model_mutex_);
-  --slot_readers_[slot];
-  if (slot_readers_[slot] == 0) model_cv_.NotifyAll();
+  state_[slot].writing = true;
+  model_cv_.Wait(model_mutex_, [&]() ARMNET_REQUIRES(model_mutex_) {
+    return state_[slot].readers == 0;
+  });
+}
+
+void PredictionService::EndWrite(int slot) {
+  {
+    MutexLock lock(model_mutex_);
+    state_[slot].writing = false;
+  }
+  model_cv_.NotifyAll();
+}
+
+int PredictionService::ActiveSlot() {
+  MutexLock lock(model_mutex_);
+  return active_index_;
+}
+
+void PredictionService::RestagePlans(int slot,
+                                     const std::vector<int64_t>& sizes) {
+  plan::CompiledPredictor& predictor = *slots_[slot].predictor;
+  predictor.Invalidate();
+  for (int64_t bs : sizes) {
+    Status warmed = predictor.Warm(bs, space_.num_fields());
+    if (!warmed.ok()) {
+      RecordIncident("compiled-plan restage failed: " + warmed.message());
+      return;
+    }
+  }
 }
 
 void PredictionService::ProcessBatch(
@@ -477,19 +503,15 @@ void PredictionService::ProcessBatch(
   }
   const data::Batch b = AssembleBatch(batch);
   std::vector<float> logits;
-  // RCU read side: hold a reader reference on the active slot for the
-  // forward — never a lock. A concurrent reload stages into the other slot.
-  int slot = 0;
-  models::TabularModel* model = AcquireActiveModel(&slot);
-  const bool finite = ForwardBatch(*model, slot, b, &logits);
-  ReleaseActiveModel(slot);
+  // Read the live primary slot for the forward — never under a lock. A
+  // concurrent reload with a standby writes the other slot.
+  const int slot = BeginRead(kActiveSlot);
+  const bool finite = ForwardBatch(slot, b, &logits);
+  EndRead(slot);
   if (!finite) {
     // The attempt still counts as a batch (the breaker-open path above does
     // not): `batches` tracks forwards issued to the primary model.
-    {
-      MutexLock guard(shard.mutex);
-      ++shard.counters.batches;
-    }
+    shard.Add(&ServeCounters::batches, 1);
     breaker_.RecordFailure();
     RecordIncident("primary model produced non-finite logits");
     Degrade(batch, shard, "primary model produced non-finite logits");
@@ -536,29 +558,24 @@ data::Batch PredictionService::AssembleBatch(
   return b;
 }
 
-bool PredictionService::ForwardBatch(models::TabularModel& model, int slot,
-                                     const data::Batch& b,
+bool PredictionService::ForwardBatch(int slot, const data::Batch& b,
                                      std::vector<float>* logits) {
   ARMNET_PROFILE_SCOPE("serve/Forward");
   // The model is in eval mode for the service's lifetime and the caller
-  // holds an RCU reader reference (reloads stage only into reader-free
-  // slots), so the forward is a pure read — safe concurrently from every
-  // worker.
+  // holds a reader reference (writes wait for readers to leave), so the
+  // forward is a pure read — safe concurrently from every worker.
   //
   // Fast path: the slot's compiled plan replays the forward out of its
   // preallocated arena. TryRun compiles on a batch-size miss (which is why
   // it runs outside the pool scope below — tracing needs unpooled storage)
   // and refuses whenever compiled execution is unavailable; then the
   // interpreted tape-free + pooled forward answers instead.
-  bool served = false;
-  if (slot >= 0 && predictors_[slot] != nullptr) {
-    served = predictors_[slot]->TryRun(b, logits);
-  }
-  if (!served) {
+  const Slot& s = slots_[slot];
+  if (s.predictor == nullptr || !s.predictor->TryRun(b, logits)) {
     NoGradGuard no_grad;
     ScopedTensorPool scoped_pool(pool_);
     Rng rng(0);  // eval mode uses no randomness
-    Variable out = model.Forward(b, rng);
+    Variable out = s.model->Forward(b, rng);
     const Tensor& values = out.value();
     if (values.numel() != b.batch_size) return false;
     logits->resize(static_cast<size_t>(b.batch_size));
@@ -577,19 +594,18 @@ void PredictionService::Degrade(
     const std::vector<std::shared_ptr<PendingPrediction>>& batch,
     CounterShard& shard, const std::string& why) {
   ARMNET_PROFILE_SCOPE("serve/Degrade");
-  if (fallback_ != nullptr) {
+  if (slots_[kFallbackSlot].model != nullptr) {
     const data::Batch b = AssembleBatch(batch);
     std::vector<float> logits;
-    // The fallback is never reloaded, so concurrent degraded forwards
-    // through it are pure reads — no lock, no reader reference needed.
-    const bool finite = ForwardBatch(*fallback_, /*slot=*/-1, b, &logits);
+    // The fallback is never written, so its read never waits.
+    BeginRead(kFallbackSlot);
+    const bool finite = ForwardBatch(kFallbackSlot, b, &logits);
+    EndRead(kFallbackSlot);
     if (finite) {
       ARMNET_PROFILE_COUNT("serve/degraded_fallback",
                            static_cast<int64_t>(batch.size()));
-      {
-        MutexLock guard(shard.mutex);
-        shard.counters.degraded_fallback += static_cast<int64_t>(batch.size());
-      }
+      shard.Add(&ServeCounters::degraded_fallback,
+                static_cast<int64_t>(batch.size()));
       for (size_t i = 0; i < batch.size(); ++i) {
         CompleteOk(*batch[i], logits[i], /*degraded=*/true);
       }
@@ -601,20 +617,15 @@ void PredictionService::Degrade(
     const float logit = PriorLogit(space_.train_positive_rate());
     ARMNET_PROFILE_COUNT("serve/degraded_prior",
                          static_cast<int64_t>(batch.size()));
-    {
-      MutexLock guard(shard.mutex);
-      shard.counters.degraded_prior += static_cast<int64_t>(batch.size());
-    }
+    shard.Add(&ServeCounters::degraded_prior,
+              static_cast<int64_t>(batch.size()));
     for (const auto& pending : batch) {
       CompleteOk(*pending, logit, /*degraded=*/true);
     }
     return;
   }
   ARMNET_PROFILE_COUNT("serve/failed", static_cast<int64_t>(batch.size()));
-  {
-    MutexLock guard(shard.mutex);
-    shard.counters.failed += static_cast<int64_t>(batch.size());
-  }
+  shard.Add(&ServeCounters::failed, static_cast<int64_t>(batch.size()));
   for (const auto& pending : batch) {
     CompleteTerminal(*pending, ServeCode::kUnavailable, why);
   }
@@ -673,12 +684,9 @@ void PredictionService::HandleDriftEvents(int shard_index) {
   if (!events.raised.empty()) {
     ARMNET_PROFILE_COUNT("serve/drift_alerts",
                          static_cast<int64_t>(events.raised.size()));
-    {
-      CounterShard& shard = *shards_[static_cast<size_t>(shard_index)];
-      MutexLock guard(shard.mutex);
-      shard.counters.drift_alerts +=
-          static_cast<int64_t>(events.raised.size());
-    }
+    shards_[static_cast<size_t>(shard_index)]->Add(
+        &ServeCounters::drift_alerts,
+        static_cast<int64_t>(events.raised.size()));
     for (const std::string& description : events.raised) {
       RecordIncident(description);
     }
@@ -694,7 +702,7 @@ void PredictionService::HandleDriftEvents(int shard_index) {
 void PredictionService::MirrorToShadow(const data::Batch& b,
                                        const std::vector<float>& primary_logits,
                                        int shard_index) {
-  if (shadow_slot_ == nullptr ||
+  if (slots_[kShadowSlot].model == nullptr ||
       !shadow_active_.load(std::memory_order_relaxed)) {
     return;
   }
@@ -722,80 +730,70 @@ void PredictionService::MirrorToShadow(const data::Batch& b,
     MutexLock park(park_mutex);
     park_cv.WaitFor(park_mutex, std::min(stall, 0.050));
   }
-  std::vector<float> shadow_logits;
-  bool finite = false;
-  {
-    // Mutual exclusion against LoadShadowModel mutating the candidate's
-    // weights; re-check activation now that the lock is held.
-    MutexLock lock(shadow_mutex_);
-    if (!shadow_active_.load(std::memory_order_relaxed)) return;
-    finite = ForwardBatch(*shadow_slot_, /*slot=*/-1, b, &shadow_logits);
-  }
+  // Read the shadow slot; re-check activation now that no LoadShadowModel
+  // can be mid-write. The evidence is recorded inside the read, so a
+  // restage cannot reset the evaluator between this forward and its record.
   CounterShard& shard = *shards_[static_cast<size_t>(shard_index)];
-  if (!finite) {
-    // A broken candidate is evidence against promotion, nothing more: no
-    // breaker, no degradation, no request ever sees it.
-    shadow_eval_.RecordFailure();
-    MutexLock guard(shard.mutex);
-    ++shard.counters.shadow_failures;
-    return;
+  BeginRead(kShadowSlot);
+  if (shadow_active_.load(std::memory_order_relaxed)) {
+    std::vector<float> shadow_logits;
+    if (!ForwardBatch(kShadowSlot, b, &shadow_logits)) {
+      // A broken candidate is evidence against promotion, nothing more: no
+      // breaker, no degradation, no request ever sees it.
+      shadow_eval_.RecordFailure();
+      shard.Add(&ServeCounters::shadow_failures, 1);
+    } else {
+      shadow_eval_.Record(primary_logits, shadow_logits);
+      ARMNET_PROFILE_COUNT("serve/shadow_mirrored_rows", b.batch_size);
+      shard.Add(&ServeCounters::shadow_mirrored_batches, 1);
+      shard.Add(&ServeCounters::shadow_mirrored_rows, b.batch_size);
+    }
   }
-  shadow_eval_.Record(primary_logits, shadow_logits);
-  ARMNET_PROFILE_COUNT("serve/shadow_mirrored_rows", b.batch_size);
-  MutexLock guard(shard.mutex);
-  ++shard.counters.shadow_mirrored_batches;
-  shard.counters.shadow_mirrored_rows += b.batch_size;
+  EndRead(kShadowSlot);
 }
 
 Status PredictionService::LoadShadowModel(const std::string& path) {
   ARMNET_PROFILE_SCOPE("serve/LoadShadowModel");
-  if (shadow_slot_ == nullptr) {
+  if (slots_[kShadowSlot].model == nullptr) {
     return Status::Error(
         "no shadow slot configured: pass a shadow model to the constructor");
   }
   Status status;
   {
-    MutexLock lock(shadow_mutex_);
+    MutexLock reload_lock(reload_mutex_);
     // Deactivate first: whatever evidence the previous candidate gathered
     // does not describe the weights this stage is about to install, and a
     // failed stage leaves the slot's weights unspecified-but-unused.
     shadow_active_.store(false, std::memory_order_relaxed);
-    status = nn::LoadState(*shadow_slot_, path);
+    BeginWrite(kShadowSlot);
+    status = nn::LoadState(*slots_[kShadowSlot].model, path);
     if (status.ok()) {
-      shadow_slot_->SetTraining(false);
+      slots_[kShadowSlot].model->SetTraining(false);
       shadow_source_path_ = path;
       shadow_eval_.Reset();
       shadow_active_.store(true, std::memory_order_relaxed);
     }
+    EndWrite(kShadowSlot);
   }
   CounterShard& shard = *shards_[0];
   if (!status.ok()) {
     ARMNET_PROFILE_COUNT("serve/shadow_loads_rejected", 1);
-    {
-      MutexLock guard(shard.mutex);
-      ++shard.counters.shadow_loads_rejected;
-    }
+    shard.Add(&ServeCounters::shadow_loads_rejected, 1);
     RecordIncident("shadow candidate rejected: " + status.message());
     return status;
   }
   ARMNET_PROFILE_COUNT("serve/shadow_loads", 1);
-  {
-    MutexLock guard(shard.mutex);
-    ++shard.counters.shadow_loads;
-  }
+  shard.Add(&ServeCounters::shadow_loads, 1);
   RecordIncident("shadow candidate staged: " + path);
   return Status::Ok();
 }
 
 Status PredictionService::PromoteShadow() {
   ARMNET_PROFILE_SCOPE("serve/PromoteShadow");
+  if (!ShadowActive()) return Status::Error("no shadow candidate staged");
   std::string path;
   {
-    MutexLock lock(shadow_mutex_);
-    if (shadow_slot_ == nullptr ||
-        !shadow_active_.load(std::memory_order_relaxed)) {
-      return Status::Error("no shadow candidate staged");
-    }
+    MutexLock reload_lock(reload_mutex_);
     path = shadow_source_path_;
   }
   const ShadowStats stats = shadow_eval_.Snapshot();
@@ -829,35 +827,23 @@ Status PredictionService::PromoteShadow() {
   CounterShard& shard = *shards_[0];
   if (!refusal.empty()) {
     ARMNET_PROFILE_COUNT("serve/shadow_promotions_refused", 1);
-    {
-      MutexLock guard(shard.mutex);
-      ++shard.counters.shadow_promotions_refused;
-    }
+    shard.Add(&ServeCounters::shadow_promotions_refused, 1);
     RecordIncident("shadow promotion refused: " + refusal);
     return Status::Error("shadow promotion refused: " + refusal);
   }
-  // Publish through the normal reload protocol (RCU with a standby). The
-  // shadow mutex is NOT held across this: a concurrent mirror comparing the
-  // outgoing primary against the candidate is harmless.
+  // Publish through the normal reload path (RCU with a standby). A mirror
+  // comparing the outgoing primary against the candidate meanwhile is
+  // harmless.
   Status status = ReloadModel(path);
   if (!status.ok()) {
     ARMNET_PROFILE_COUNT("serve/shadow_promotions_refused", 1);
-    {
-      MutexLock guard(shard.mutex);
-      ++shard.counters.shadow_promotions_refused;
-    }
+    shard.Add(&ServeCounters::shadow_promotions_refused, 1);
     RecordIncident("shadow promotion failed at publish: " + status.message());
     return status;
   }
-  {
-    MutexLock lock(shadow_mutex_);
-    shadow_active_.store(false, std::memory_order_relaxed);
-  }
+  shadow_active_.store(false, std::memory_order_relaxed);
   ARMNET_PROFILE_COUNT("serve/shadow_promotions_ok", 1);
-  {
-    MutexLock guard(shard.mutex);
-    ++shard.counters.shadow_promotions_ok;
-  }
+  shard.Add(&ServeCounters::shadow_promotions_ok, 1);
   RecordIncident(StrFormat(
       "shadow promoted: %s (mean |dlogit| %.4f, p99 %.4f, disagreement "
       "%.4f over %lld mirrored rows)",
@@ -867,18 +853,9 @@ Status PredictionService::PromoteShadow() {
 }
 
 void PredictionService::DismissShadow(const std::string& reason) {
-  bool was_active = false;
-  {
-    MutexLock lock(shadow_mutex_);
-    was_active = shadow_active_.exchange(false, std::memory_order_relaxed);
-  }
-  if (!was_active) return;
+  if (!shadow_active_.exchange(false, std::memory_order_relaxed)) return;
   ARMNET_PROFILE_COUNT("serve/shadow_dismissed", 1);
-  {
-    CounterShard& shard = *shards_[0];
-    MutexLock guard(shard.mutex);
-    ++shard.counters.shadow_dismissed;
-  }
+  shards_[0]->Add(&ServeCounters::shadow_dismissed, 1);
   RecordIncident("shadow dismissed: " + reason);
 }
 
@@ -920,115 +897,61 @@ Status PredictionService::ReloadModel(const std::string& path) {
   ARMNET_PROFILE_SCOPE("serve/ReloadModel");
   MutexLock reload_lock(reload_mutex_);
   Status status;
-  int stores_detached = 0;
+  size_t stores_detached = 0;
   if (fault::ShouldFail(fault::kSiteServeReloadCorrupt,
                         fault::Kind::kFailOpen)) {
     status = Status::Error("injected corrupt reload: " + path);
-  } else if (slots_[1] != nullptr) {
-    // Warm standby: stage into the idle slot entirely off the serving path.
-    // New readers only ever acquire the active slot, so once the idle
-    // slot's stragglers (from before the previous swap) drain, its weights
-    // are exclusively ours to mutate — no forward ever waits on the stage.
-    int idle;
-    {
-      MutexLock lock(model_mutex_);
-      idle = 1 - active_index_;
-      model_cv_.Wait(model_mutex_,
-                     [this, idle]() ARMNET_REQUIRES(model_mutex_) {
-                       return slot_readers_[idle] == 0;
-                     });
-    }
+  } else {
+    // Stage into the slot after the active one: the standby when one is
+    // configured (off the serving path; new readers only ever begin on the
+    // active slot, so only stragglers from before the previous publish are
+    // waited out), else the active slot itself (its readers wait for the
+    // stage). Only writers move active_index_, and they hold reload_mutex_.
+    const int active = ActiveSlot();
+    const int staged = slots_[1 - active].model != nullptr ? 1 - active
+                                                           : active;
+    const std::vector<int64_t> sizes =
+        slots_[active].predictor->CachedBatchSizes();
+    BeginWrite(staged);
     // LoadState stages and validates the whole file before touching any
-    // module state; on failure the idle slot keeps its (stale but intact)
-    // weights and the active copy was never involved at all.
-    status = nn::LoadState(*slots_[idle], path);
+    // module state; on failure the slot keeps its (intact) weights.
+    status = nn::LoadState(*slots_[staged].model, path);
     if (status.ok()) {
-      slots_[idle]->SetTraining(false);
+      slots_[staged].model->SetTraining(false);
       // A quantized store pairs with the weights it was exported from;
       // fresh weights make it stale, so it comes off before the restage
       // (the recompiled plans must not capture the old quantized gather).
-      stores_detached = DetachEmbeddingStores(*slots_[idle]);
-      // Restage the idle slot's compiled plans against the fresh weights
-      // BEFORE the publish: old plans referenced the overwritten tensors,
-      // and recompiling now keeps the first post-swap batches off the
-      // interpreted slow path. Warm failure is not fatal — the slot just
-      // serves interpreted until TryRun recompiles.
-      if (predictors_[idle] != nullptr) {
-        predictors_[idle]->Invalidate();
-        if (predictors_[1 - idle] != nullptr) {
-          for (int64_t bs : predictors_[1 - idle]->CachedBatchSizes()) {
-            Status warmed = predictors_[idle]->Warm(bs, space_.num_fields());
-            if (!warmed.ok()) {
-              RecordIncident("compiled-plan restage failed on reload: " +
-                             warmed.message());
-              break;
-            }
-          }
-        }
-      }
-      // RCU publish: the next AcquireActiveModel serves the new weights.
-      MutexLock lock(model_mutex_);
-      active_index_ = idle;
+      DetachEmbeddingStores(*slots_[staged].model);
+      // Recompile against the fresh weights BEFORE the publish: old plans
+      // referenced the overwritten tensors, and warming now keeps the first
+      // post-publish batches off the interpreted slow path.
+      RestagePlans(staged, sizes);
     }
-  } else {
-    // Legacy in-place reload: quiesce the forwards for the stage duration.
-    {
-      MutexLock lock(model_mutex_);
-      quiescing_ = true;
-      model_cv_.Wait(model_mutex_, [this]() ARMNET_REQUIRES(model_mutex_) {
-        return slot_readers_[0] == 0 && slot_readers_[1] == 0;
-      });
-    }
-    status = nn::LoadState(*slots_[0], path);
+    EndWrite(staged);
     if (status.ok()) {
-      slots_[0]->SetTraining(false);
-      stores_detached = DetachEmbeddingStores(*slots_[0]);
-      if (predictors_[0] != nullptr) {
-        const std::vector<int64_t> sizes = predictors_[0]->CachedBatchSizes();
-        predictors_[0]->Invalidate();
-        for (int64_t bs : sizes) {
-          Status warmed = predictors_[0]->Warm(bs, space_.num_fields());
-          if (!warmed.ok()) {
-            RecordIncident("compiled-plan restage failed on reload: " +
-                           warmed.message());
-            break;
-          }
-        }
-      }
-    }
-    {
+      // Publish after the write ends, so no reader of the new active slot
+      // ever waits on it. The operator is told what the outgoing active
+      // slot served with.
       MutexLock lock(model_mutex_);
-      quiescing_ = false;
+      stores_detached = state_[active].stores.size();
+      state_[staged].stores.clear();
+      active_index_ = staged;
     }
-    model_cv_.NotifyAll();
   }
 
   CounterShard& shard = *shards_[0];
   if (!status.ok()) {
     ARMNET_PROFILE_COUNT("serve/reloads_rejected", 1);
-    {
-      MutexLock guard(shard.mutex);
-      ++shard.counters.reloads_rejected;
-    }
+    shard.Add(&ServeCounters::reloads_rejected, 1);
     RecordIncident("reload rejected, old model keeps serving: " +
                    status.message());
     return status;
   }
   ARMNET_PROFILE_COUNT("serve/reloads_ok", 1);
-  {
-    MutexLock guard(shard.mutex);
-    ++shard.counters.reloads_ok;
-  }
-  // The active model now carries no quantized store (RCU: the published
-  // slot was stripped above; in-place: slot 0 was), so the counter view
-  // must stop reporting the stale ones.
-  {
-    MutexLock guard(store_mutex_);
-    attached_stores_.clear();
-  }
+  shard.Add(&ServeCounters::reloads_ok, 1);
   if (stores_detached > 0) {
     RecordIncident(StrFormat(
-        "reload detached %d quantized embedding store(s): stores pair with "
+        "reload detached %zu quantized embedding store(s): stores pair with "
         "the weights they were exported from; attach a re-exported one",
         stores_detached));
   }
@@ -1041,9 +964,9 @@ Status PredictionService::AttachEmbeddingStore(const std::string& path,
                                                int64_t hot_row_cache_slots) {
   ARMNET_PROFILE_SCOPE("serve/AttachEmbeddingStore");
   MutexLock reload_lock(reload_mutex_);
-  // Open and fully validate the file BEFORE quiescing anything: a corrupt
-  // or truncated store must cost the serving path nothing and leave the
-  // model exactly as it was.
+  // Open and fully validate the file BEFORE the write begins: a corrupt or
+  // truncated store must cost the serving path nothing and leave the model
+  // exactly as it was.
   StatusOr<std::shared_ptr<QuantizedTable>> opened =
       nn::OpenMappedEmbeddingStore(path);
   if (!opened.ok()) {
@@ -1054,21 +977,12 @@ Status PredictionService::AttachEmbeddingStore(const std::string& path,
   std::shared_ptr<QuantizedTable> store = std::move(opened).value();
   if (hot_row_cache_slots > 0) store->EnableHotRowCache(hot_row_cache_slots);
 
-  // Quiesce in-flight forwards on both slots (the in-place-reload
-  // protocol): Embedding::AttachStore swaps the lookup route that workers
-  // read without a lock.
-  int active;
-  {
-    MutexLock lock(model_mutex_);
-    quiescing_ = true;
-    model_cv_.Wait(model_mutex_, [this]() ARMNET_REQUIRES(model_mutex_) {
-      return slot_readers_[0] == 0 && slot_readers_[1] == 0;
-    });
-    active = active_index_;
-  }
-
+  // A write on the active slot: Embedding::AttachStore swaps the lookup
+  // route that readers follow without a lock.
+  const int active = ActiveSlot();
+  BeginWrite(active);
   int attached = 0;
-  for (nn::Module* m : slots_[active]->SelfAndDescendants()) {
+  for (nn::Module* m : slots_[active].model->SelfAndDescendants()) {
     auto* embedding = dynamic_cast<nn::Embedding*>(m);
     if (embedding != nullptr && embedding->num_rows() == store->rows() &&
         embedding->width() == store->width()) {
@@ -1076,44 +990,25 @@ Status PredictionService::AttachEmbeddingStore(const std::string& path,
       ++attached;
     }
   }
-  Status status;
+  if (attached > 0) {
+    // The slot's compiled plans captured the float32 gather; restage them
+    // so the compiled path serves the quantized store too.
+    RestagePlans(active, slots_[active].predictor->CachedBatchSizes());
+    MutexLock lock(model_mutex_);
+    state_[active].stores.push_back(store);
+  }
+  EndWrite(active);
+
   if (attached == 0) {
-    status = Status::Error(StrFormat(
+    const Status status = Status::Error(StrFormat(
         "embedding store %s ([%lld, %lld] %s) matches no embedding table in "
         "the active model",
         path.c_str(), static_cast<long long>(store->rows()),
         static_cast<long long>(store->width()),
         QuantKindName(store->kind())));
-  } else if (predictors_[active] != nullptr) {
-    // The slot's compiled plans captured the float32 gather; restage them
-    // so the compiled path serves the quantized store too. Warm failure is
-    // not fatal — TryRun recompiles on demand.
-    const std::vector<int64_t> sizes = predictors_[active]->CachedBatchSizes();
-    predictors_[active]->Invalidate();
-    for (int64_t bs : sizes) {
-      Status warmed = predictors_[active]->Warm(bs, space_.num_fields());
-      if (!warmed.ok()) {
-        RecordIncident("compiled-plan restage failed on store attach: " +
-                       warmed.message());
-        break;
-      }
-    }
-  }
-
-  {
-    MutexLock lock(model_mutex_);
-    quiescing_ = false;
-  }
-  model_cv_.NotifyAll();
-
-  if (!status.ok()) {
     RecordIncident("embedding store rejected, model untouched: " +
                    status.message());
     return status;
-  }
-  {
-    MutexLock guard(store_mutex_);
-    attached_stores_.push_back(store);
   }
   ARMNET_PROFILE_COUNT("serve/embedding_store_attached", 1);
   return Status::Ok();
@@ -1149,40 +1044,21 @@ ServeCounters PredictionService::counters() const {
 
 std::vector<prof::CounterStats> PredictionService::CounterSnapshot() const {
   const ServeCounters c = counters();
-  std::vector<prof::CounterStats> snapshot = {
-      {"serve/submitted", c.submitted},
-      {"serve/rejected_invalid", c.rejected_invalid},
-      {"serve/rejected_overload", c.rejected_overload},
-      {"serve/shed", c.shed},
-      {"serve/expired", c.expired},
-      {"serve/completed_ok", c.completed_ok},
-      {"serve/degraded_fallback", c.degraded_fallback},
-      {"serve/degraded_prior", c.degraded_prior},
-      {"serve/failed", c.failed},
-      {"serve/oov_fields", c.oov_fields},
-      {"serve/clamped_fields", c.clamped_fields},
-      {"serve/batches", c.batches},
-      {"serve/reloads_ok", c.reloads_ok},
-      {"serve/reloads_rejected", c.reloads_rejected},
-      {"serve/drift_alerts", c.drift_alerts},
-      {"serve/shadow_loads", c.shadow_loads},
-      {"serve/shadow_loads_rejected", c.shadow_loads_rejected},
-      {"serve/shadow_mirrored_batches", c.shadow_mirrored_batches},
-      {"serve/shadow_mirrored_rows", c.shadow_mirrored_rows},
-      {"serve/shadow_failures", c.shadow_failures},
-      {"serve/shadow_promotions_ok", c.shadow_promotions_ok},
-      {"serve/shadow_promotions_refused", c.shadow_promotions_refused},
-      {"serve/shadow_dismissed", c.shadow_dismissed},
-  };
-  // Quantized embedding storage: one row even when nothing is attached, so
-  // the run-metrics schema is stable across configurations.
+  std::vector<prof::CounterStats> snapshot;
+  for (const CounterField& f : kCounterFields) {
+    snapshot.push_back({f.name, c.*f.field});
+  }
+  // Quantized embedding storage on the active slot: one row even when
+  // nothing is attached, so the run-metrics schema is stable across
+  // configurations.
   int64_t stores = 0;
   int64_t hits = 0;
   int64_t misses = 0;
   {
-    MutexLock guard(store_mutex_);
-    stores = static_cast<int64_t>(attached_stores_.size());
-    for (const auto& store : attached_stores_) {
+    MutexLock lock(model_mutex_);
+    const SlotState& active = state_[active_index_];
+    stores = static_cast<int64_t>(active.stores.size());
+    for (const auto& store : active.stores) {
       hits += static_cast<int64_t>(store->cache_hits());
       misses += static_cast<int64_t>(store->cache_misses());
     }
@@ -1195,9 +1071,9 @@ std::vector<prof::CounterStats> PredictionService::CounterSnapshot() const {
 
 std::vector<prof::CounterStats> PredictionService::PlanCounterSnapshot() const {
   plan::CompiledPredictor::Stats total;
-  for (const auto& predictor : predictors_) {
-    if (predictor == nullptr) continue;
-    const plan::CompiledPredictor::Stats s = predictor->stats();
+  for (const Slot& slot : slots_) {
+    if (slot.predictor == nullptr) continue;
+    const plan::CompiledPredictor::Stats s = slot.predictor->stats();
     total.plans += s.plans;
     total.instructions += s.instructions;
     total.fused_ops += s.fused_ops;

@@ -60,16 +60,19 @@ namespace armnet::serve {
 // compilation is an optimization, never an availability dependency. The
 // fallback model always runs interpreted.
 //
-// Weights hot-reload through the CRC-framed envelope. With a warm standby
-// configured, `ReloadModel` stages `LoadState` into the idle model copy off
-// the serving path and publishes it with an RCU-style swap — workers never
-// wait on a reload, and a corrupt file leaves the active copy untouched.
-// Without a standby the legacy in-place reload quiesces the forwards for
-// the duration of the stage. A successful reload also restages the slot's
-// compiled plans: the staged slot's plan cache is invalidated (plans capture
-// weights by reference) and the batch sizes live in the outgoing slot's
-// cache are recompiled off-path before the RCU publish, so the swap lands
-// with warm plans.
+// Every served model lives in a slot (DESIGN.md §13): the active primary,
+// the optional warm standby, the optional shadow, and the optional
+// fallback. One reader/writer rule covers all of them. A reader waits while
+// its slot is being written, registers itself, and forwards with no lock
+// held. A writer marks the slot, waits for its readers to leave, mutates
+// the model, and unmarks it. `ReloadModel` writes the slot after the active
+// one — the standby when configured, so workers never wait on a reload and
+// the publish is an RCU-style flip; otherwise the active slot itself, which
+// blocks its readers for the stage. A corrupt file leaves the served
+// weights untouched either way. A successful stage also restages the
+// slot's compiled plans: its plan cache is invalidated (plans capture
+// weights by reference) and the batch sizes live in the active slot's cache
+// are recompiled before the publish, so the new weights serve warm plans.
 //
 // Drift monitoring and shadow deployment (DESIGN.md §16) close the loop
 // around the served model. When the serving artifact carries a
@@ -96,19 +99,17 @@ namespace armnet::serve {
 //
 // Lock discipline (DESIGN.md §12): mutexes are never nested except where
 // stated —
-//   reload_mutex_    serializes ReloadModel calls; taken before model_mutex_
-//   model_mutex_     the RCU slot bookkeeping (active index, per-slot
-//                    reader counts, quiesce flag) — NOT the forward itself:
-//                    forwards run outside the lock on a slot they hold a
-//                    reader reference to
+//   reload_mutex_    serializes every slot write (ReloadModel,
+//                    AttachEmbeddingStore, LoadShadowModel); taken before
+//                    model_mutex_
+//   model_mutex_     the slot state (active index, per-slot reader count,
+//                    writing flag, attached stores) — NOT the forward
+//                    itself: forwards run outside the lock on a slot they
+//                    hold a reader reference to
 //   queue_mutex_     the micro-batch queue, running_, and the readiness
 //                    hysteresis state
 //   shutdown_mutex_  serializes Shutdown(); taken before queue_mutex_
 //   per-shard mutex  one CounterShard each; leaves
-//   shadow_mutex_    serializes shadow staging against mirror forwards;
-//                    never nested with the mutexes above (PromoteShadow
-//                    releases it before entering ReloadModel), only the
-//                    counter-shard / evaluator leaves are taken under it
 // incidents_mutex_, the drift monitor's internal mutexes, the shadow
 // evaluator's mutex, and the policy's internal mutex are leaves. Every
 // guarded field and lock contract below is enforced at compile time by the
@@ -261,8 +262,8 @@ class PredictionService {
   // `fallback` is the optional lightweight degradation model (e.g. LR);
   // `standby` is the optional warm-standby copy (same architecture as
   // `model`) that makes ReloadModel an off-path stage + RCU swap instead of
-  // an in-place quiesce. `shadow` is the optional third model slot (same
-  // architecture) that LoadShadowModel stages candidates into. All
+  // a write on the active slot. `shadow` is the optional third model slot
+  // (same architecture) that LoadShadowModel stages candidates into. All
   // non-owning. The service switches every model it was given into eval
   // mode for its lifetime.
   PredictionService(models::TabularModel* model, data::FeatureSpace space,
@@ -303,10 +304,11 @@ class PredictionService {
   // Any validation failure leaves the currently-serving weights untouched,
   // records an incident, and returns the error; success resets the circuit
   // breaker. With a warm standby the stage runs entirely off the serving
-  // path and publishing is an RCU swap; workers never wait on it. Reloading
-  // also detaches any quantized embedding store from the staged slot (the
-  // store was exported against the replaced weights) and records an
-  // incident telling the operator to attach a re-exported one.
+  // path and publishing is an RCU swap; workers never wait on it. The
+  // staged slot is stripped of any quantized embedding store (a store pairs
+  // with the weights it was exported from), and when the outgoing active
+  // slot carried stores an incident tells the operator to attach a
+  // re-exported one.
   Status ReloadModel(const std::string& path)
       ARMNET_EXCLUDES(reload_mutex_, model_mutex_);
 
@@ -316,9 +318,9 @@ class PredictionService {
   // dequantize-on-gather from the shared mapping. `hot_row_cache_slots` > 0
   // additionally enables the dequantized hot-row cache (hit/miss counters
   // surface in CounterSnapshot). A corrupt/truncated/mismatched file leaves
-  // the model untouched and returns the error. The swap quiesces in-flight
-  // forwards (the in-place-reload protocol) and restages the slot's
-  // compiled plans so they capture the quantized gather.
+  // the model untouched and returns the error. The attach is a write on the
+  // active slot (its readers drain first) and restages the slot's compiled
+  // plans so they capture the quantized gather.
   Status AttachEmbeddingStore(const std::string& path,
                               int64_t hot_row_cache_slots = 0)
       ARMNET_EXCLUDES(reload_mutex_, model_mutex_);
@@ -328,7 +330,7 @@ class PredictionService {
   // staged candidate deactivated (its evidence no longer matches the slot's
   // weights) and returns the error. Requires a shadow slot at construction.
   Status LoadShadowModel(const std::string& path)
-      ARMNET_EXCLUDES(shadow_mutex_);
+      ARMNET_EXCLUDES(reload_mutex_, model_mutex_);
 
   // Publishes the staged candidate through the normal reload path (RCU with
   // a standby) — but only when the mirrored evidence is sufficient
@@ -336,14 +338,12 @@ class PredictionService {
   // inside its bound. Otherwise returns a typed refusal carrying the
   // evidence, records it as an incident, and keeps mirroring so the
   // operator can gather more data or dismiss.
-  Status PromoteShadow()
-      ARMNET_EXCLUDES(shadow_mutex_, reload_mutex_, model_mutex_);
+  Status PromoteShadow() ARMNET_EXCLUDES(reload_mutex_, model_mutex_);
 
   // Deactivates the staged candidate (no-op when none is active). Also
   // invoked automatically on a rising drift alert: delta evidence gathered
   // against drifted traffic is not promotion evidence.
-  void DismissShadow(const std::string& reason)
-      ARMNET_EXCLUDES(shadow_mutex_);
+  void DismissShadow(const std::string& reason);
 
   bool ShadowActive() const;
   // Accumulated primary-vs-shadow comparison evidence for the current
@@ -372,7 +372,8 @@ class PredictionService {
   ServeCounters counters() const;
   // Counter snapshot in the profiler's CounterStats shape, for embedding
   // into armor::RunMetrics ("serve" section of the run-metrics JSON).
-  std::vector<prof::CounterStats> CounterSnapshot() const;
+  std::vector<prof::CounterStats> CounterSnapshot() const
+      ARMNET_EXCLUDES(model_mutex_);
   // Compiled-plan statistics merged across the model slots, for the
   // run-metrics "plan" section (instructions, fused ops, arena bytes,
   // executions, fallbacks, ...).
@@ -395,6 +396,42 @@ class PredictionService {
   struct CounterShard {
     mutable Mutex mutex;
     ServeCounters counters ARMNET_GUARDED_BY(mutex);
+
+    void Add(int64_t ServeCounters::*field, int64_t n)
+        ARMNET_EXCLUDES(mutex) {
+      MutexLock guard(mutex);
+      counters.*field += n;
+    }
+  };
+
+  // Slot indices: 0 and 1 are the primary pair (the constructor's `model`
+  // and the optional standby; active_index_ names the live one), then the
+  // shadow and the fallback. kActiveSlot asks BeginRead for whichever
+  // primary is live when the read begins.
+  static constexpr int kShadowSlot = 2;
+  static constexpr int kFallbackSlot = 3;
+  static constexpr int kNumSlots = 4;
+  static constexpr int kActiveSlot = -1;
+
+  // A slot's fixed wiring, set once in the constructor: the model (null
+  // when not configured) and its compiled-plan frontend (null for the
+  // shadow and the fallback, which run interpreted). The predictor is
+  // internally synchronized.
+  struct Slot {
+    models::TabularModel* model = nullptr;
+    std::unique_ptr<plan::CompiledPredictor> predictor;
+  };
+  // A slot's reader/writer state, guarded by model_mutex_. The model's
+  // weights and its embeddings' stores are mutated only while `writing` is
+  // set and `readers` is 0 — a rule the annotations cannot express, so the
+  // soak test under TSan is its dynamic check.
+  struct SlotState {
+    int64_t readers = 0;
+    bool writing = false;
+    // Quantized stores attached to the slot's model, held for the cache
+    // hit/miss counters (the tables are internally synchronized and
+    // co-owned by the Embeddings and compiled plans).
+    std::vector<std::shared_ptr<const QuantizedTable>> stores;
   };
 
   void WorkerLoop(int worker_index) ARMNET_EXCLUDES(queue_mutex_);
@@ -410,14 +447,12 @@ class PredictionService {
   // Flattens the per-request mapped rows into one forward-ready batch.
   data::Batch AssembleBatch(
       const std::vector<std::shared_ptr<PendingPrediction>>& batch) const;
-  // Forwards the assembled batch through `model`; returns false if any
-  // logit came back non-finite. `slot` >= 0 serves from that slot's
-  // compiled plan when available, falling back to the interpreted
-  // NoGradGuard + pooled forward (always used for the fallback model,
-  // slot = -1). The caller must hold a reader reference on the slot `model`
-  // came from (or, for the fallback, rely on it never being mutated).
-  bool ForwardBatch(models::TabularModel& model, int slot,
-                    const data::Batch& b, std::vector<float>* logits);
+  // Forwards the assembled batch through slot `slot`'s model; returns false
+  // if any logit came back non-finite. Serves from the slot's compiled plan
+  // when it has one, else from the interpreted NoGradGuard + pooled
+  // forward. The caller must hold a reader reference on the slot.
+  bool ForwardBatch(int slot, const data::Batch& b,
+                    std::vector<float>* logits);
   void Degrade(const std::vector<std::shared_ptr<PendingPrediction>>& batch,
                CounterShard& shard, const std::string& why)
       ARMNET_EXCLUDES(model_mutex_);
@@ -435,38 +470,35 @@ class PredictionService {
                     const std::vector<float>* logits);
   // Evaluates the alert set; raised alerts become incidents + counters and
   // auto-dismiss the shadow, cleared alerts become incidents.
-  void HandleDriftEvents(int shard_index)
-      ARMNET_EXCLUDES(incidents_mutex_, shadow_mutex_);
+  void HandleDriftEvents(int shard_index) ARMNET_EXCLUDES(incidents_mutex_);
   // Off-critical-path shadow mirroring: runs AFTER the batch's primary
   // completions were delivered, deterministically sampled by
   // ShadowOptions::mirror_fraction. Shadow failures feed counters and the
   // evaluator only — never the breaker, never a request outcome.
   void MirrorToShadow(const data::Batch& b,
                       const std::vector<float>& primary_logits,
-                      int shard_index) ARMNET_EXCLUDES(shadow_mutex_);
+                      int shard_index) ARMNET_EXCLUDES(model_mutex_);
 
-  // RCU reader side: returns the active model with this thread registered
-  // as a reader of its slot (blocks only while an in-place reload is
-  // quiescing). The weights of a slot with a nonzero reader count are never
-  // mutated — ReloadModel stages only into a quiesced slot — so the forward
-  // itself runs without any lock held.
-  models::TabularModel* AcquireActiveModel(int* slot)
+  // Read rule: waits while the slot is being written, then registers this
+  // thread as its reader and returns the slot index (kActiveSlot resolves
+  // to the live primary). The forward then runs with no lock held.
+  int BeginRead(int slot) ARMNET_EXCLUDES(model_mutex_);
+  void EndRead(int slot) ARMNET_EXCLUDES(model_mutex_);
+  // Write rule: marks the slot writing (new readers wait) and returns once
+  // its readers have left; EndWrite unmarks it. Writers hold reload_mutex_,
+  // so at most one write is in progress.
+  void BeginWrite(int slot) ARMNET_REQUIRES(reload_mutex_)
       ARMNET_EXCLUDES(model_mutex_);
-  void ReleaseActiveModel(int slot) ARMNET_EXCLUDES(model_mutex_);
+  void EndWrite(int slot) ARMNET_REQUIRES(reload_mutex_)
+      ARMNET_EXCLUDES(model_mutex_);
+  int ActiveSlot() ARMNET_EXCLUDES(model_mutex_);
+  // Inside a write on `slot`: drops its compiled plans (they captured the
+  // old weights or gather) and recompiles `sizes`. A failed warm is an
+  // incident, not an error — TryRun recompiles on demand.
+  void RestagePlans(int slot, const std::vector<int64_t>& sizes)
+      ARMNET_REQUIRES(reload_mutex_);
 
-  // Model slots. slots_[0] is the constructor's `model`, slots_[1] the
-  // optional standby (null when not configured). The array entries are set
-  // once in the constructor; which slot is live is active_index_ under
-  // model_mutex_. Pointee mutation is governed by the RCU protocol above,
-  // which the annotations cannot express — the soak test under TSan is the
-  // dynamic check.
-  models::TabularModel* slots_[2];
-  // Compiled-plan frontends, one per configured model slot (null where the
-  // slot is). Internally synchronized; invalidated + restaged by reloads.
-  std::unique_ptr<plan::CompiledPredictor> predictors_[2];
-  // Never reloaded, so never mutated: concurrent degraded forwards through
-  // it are pure reads.
-  models::TabularModel* fallback_;
+  Slot slots_[kNumSlots];
   const data::FeatureSpace space_;
   const ServeOptions options_;
   SteadyClock own_clock_;
@@ -474,13 +506,11 @@ class PredictionService {
   CircuitBreaker breaker_;
   AdaptiveBatchPolicy policy_;
 
-  Mutex reload_mutex_;  // serializes reloads; taken before model_mutex_
-  Mutex model_mutex_;
+  Mutex reload_mutex_;  // serializes slot writes; taken before model_mutex_
+  mutable Mutex model_mutex_;
   CondVar model_cv_;
   int active_index_ ARMNET_GUARDED_BY(model_mutex_) = 0;
-  int64_t slot_readers_[2] ARMNET_GUARDED_BY(model_mutex_) = {0, 0};
-  // True while an in-place (no-standby) reload drains and blocks readers.
-  bool quiescing_ ARMNET_GUARDED_BY(model_mutex_) = false;
+  SlotState state_[kNumSlots] ARMNET_GUARDED_BY(model_mutex_);
 
   TensorPool pool_;  // internally synchronized
 
@@ -503,27 +533,16 @@ class PredictionService {
   mutable Mutex incidents_mutex_;
   std::vector<std::string> incidents_ ARMNET_GUARDED_BY(incidents_mutex_);
 
-  // Quantized stores attached to the active model, held for the cache
-  // hit/miss counter snapshot (leaf mutex; the tables themselves are
-  // internally synchronized and co-owned by the Embeddings/plans).
-  mutable Mutex store_mutex_;
-  std::vector<std::shared_ptr<const QuantizedTable>> attached_stores_
-      ARMNET_GUARDED_BY(store_mutex_);
-
   // Drift monitor (always constructed; a space without a DriftReference
   // yields a disabled monitor whose methods are cheap no-ops). Internally
   // sharded like the counters; all its mutexes are leaves.
   std::unique_ptr<DriftMonitor> drift_;
 
-  // Shadow deployment. The candidate's weights are mutated by
-  // LoadShadowModel, so shadow_mutex_ is held across both the stage and
-  // every mirror forward — mutual exclusion, not a reader protocol; the
-  // mirror rate is sampled, so serializing mirrors across workers is
-  // acceptable. shadow_active_ is the cheap pre-lock gate (re-checked under
-  // the mutex before forwarding).
-  models::TabularModel* shadow_slot_;
-  mutable Mutex shadow_mutex_;
-  std::string shadow_source_path_ ARMNET_GUARDED_BY(shadow_mutex_);
+  // Shadow deployment. The candidate's weights follow the slot rule:
+  // LoadShadowModel writes the shadow slot, mirrors read it, so mirrors on
+  // different workers run concurrently. shadow_active_ is the cheap gate
+  // checked before the read begins and again under it.
+  std::string shadow_source_path_ ARMNET_GUARDED_BY(reload_mutex_);
   std::atomic<bool> shadow_active_{false};
   // Deterministic Bresenham-style mirror sampling sequence.
   std::atomic<int64_t> shadow_batch_seq_{0};

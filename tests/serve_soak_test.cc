@@ -7,7 +7,9 @@
 // carries a reference), so alert raise/clear edges, auto-dismissed
 // shadows, and degraded Ready probes are part of the churn. The run ends
 // with the three invariants the serving layer promises under any
-// interleaving:
+// interleaving. It runs twice: with a warm standby (reloads stage the idle
+// slot and publish it) and without one (reloads and the chaos thread's
+// quantized-store attaches write the active slot under live readers):
 //
 //   1. no hung tickets — every Submit ever issued reaches a terminal
 //      state and its Wait() returns;
@@ -36,8 +38,11 @@
 #include "data/feature_space.h"
 #include "data/loader.h"
 #include "models/lr.h"
+#include "nn/embedding.h"
+#include "nn/embedding_store.h"
 #include "nn/serialize.h"
 #include "serve/service.h"
+#include "tensor/quantized.h"
 #include "util/csv.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
@@ -74,11 +79,15 @@ struct Issued {
   bool valid = true;  // was the submitted row well-formed?
 };
 
-TEST(ServeSoakTest, ChaosRunKeepsInvariants) {
+// The parameter is whether the service gets a warm standby.
+class ServeSoakTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ServeSoakTest, ChaosRunKeepsInvariants) {
   const double duration = SoakSeconds();
 
   // Fixture: tiny categorical+numerical space, all-zero LR as the active
-  // model, a distinct standby copy for RCU reloads, an all-zero fallback.
+  // model, a distinct standby copy for RCU reloads (when the parameter asks
+  // for one), an all-zero fallback.
   const std::string csv = ::testing::TempDir() + "/soak_train.csv";
   ASSERT_TRUE(WriteLines(csv, {"label,city,temp", "1,sf,10", "0,nyc,30",
                                "1,sf,20"})
@@ -125,6 +134,23 @@ TEST(ServeSoakTest, ChaosRunKeepsInvariants) {
     ASSERT_TRUE(out.good());
   }
 
+  // A float32 quantized store exported from the model's LR table, which the
+  // chaos thread attaches to the active slot now and then (every Lr here
+  // shares the table's geometry).
+  const std::string store = ::testing::TempDir() + "/soak_table.arms";
+  {
+    nn::Embedding* table = nullptr;
+    for (nn::Module* m : model.SelfAndDescendants()) {
+      if (auto* e = dynamic_cast<nn::Embedding*>(m)) table = e;
+    }
+    ASSERT_NE(table, nullptr);
+    ASSERT_TRUE(nn::SaveEmbeddingStore(
+                    *QuantizedTable::Quantize(table->table().value(),
+                                              QuantKind::kFloat32),
+                    store)
+                    .ok());
+  }
+
   ServeOptions options;
   options.start_worker = true;
   options.num_workers = 4;
@@ -139,7 +165,8 @@ TEST(ServeSoakTest, ChaosRunKeepsInvariants) {
   options.shadow.mirror_fraction = 0.5;
   options.shadow.min_mirrored_rows = 32;
   PredictionService service(&model, space, options, /*clock=*/nullptr,
-                            &fallback, &standby, &shadow);
+                            &fallback, GetParam() ? &standby : nullptr,
+                            &shadow);
   ASSERT_TRUE(service.LoadShadowModel(good).ok());
 
   std::atomic<bool> stop{false};
@@ -246,6 +273,11 @@ TEST(ServeSoakTest, ChaosRunKeepsInvariants) {
       } else if (shadow_pick < 0.65) {
         service.DismissShadow("chaos dismissal");
       }
+      // Store churn: a write on the active slot under live readers; the
+      // next valid reload strips it again.
+      if (chaos_rng.Uniform() < 0.2) {
+        EXPECT_TRUE(service.AttachEmbeddingStore(store).ok());
+      }
       // Concurrent observability reads must never tear or deadlock.
       (void)service.Ready();
       (void)service.counters();
@@ -342,6 +374,11 @@ TEST(ServeSoakTest, ChaosRunKeepsInvariants) {
         << "chaos armed serve/shadow_stall but no mirror consulted it";
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Slots, ServeSoakTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Standby" : "NoStandby";
+                         });
 
 }  // namespace
 }  // namespace armnet

@@ -962,8 +962,15 @@ nn::Embedding* FirstEmbedding(models::TabularModel& model) {
   return nullptr;
 }
 
-TEST(PredictionServiceTest, MmapEmbeddingStoreServesAndDetachesOnReload) {
+// Runs once without a standby (the reload writes the active slot) and once
+// with one (the reload stages the standby and publishes it).
+class EmbeddingStoreReloadTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(EmbeddingStoreReloadTest,
+       MmapEmbeddingStoreServesAndDetachesOnReload) {
   ServiceFixture fx("svc_embed_store");
+  Rng standby_rng(23);
+  models::Lr standby(fx.space.schema().num_features(), standby_rng);
 
   // Distinctive embedding weights (bias stays 0), exported to a store file
   // BEFORE the weights are zeroed: if serving later reproduces this logit,
@@ -981,7 +988,8 @@ TEST(PredictionServiceTest, MmapEmbeddingStoreServesAndDetachesOnReload) {
           .ok());
 
   PredictionService service(fx.model.get(), fx.space, fx.ManualOptions(),
-                            &fx.clock);
+                            &fx.clock, /*fallback=*/nullptr,
+                            GetParam() ? &standby : nullptr);
   auto with_floats = service.Submit({"sf", "15"});
   service.DrainOnce();
   const float expected = with_floats->Wait().logit;
@@ -997,8 +1005,8 @@ TEST(PredictionServiceTest, MmapEmbeddingStoreServesAndDetachesOnReload) {
       ::testing::TempDir() + "/svc_embed_store.state";
   ASSERT_TRUE(nn::SaveState(*fx.model, weights_path).ok());
 
-  // A corrupt store file is rejected whole before any quiesce: the model is
-  // untouched and keeps serving the float path.
+  // A corrupt store file is rejected whole before the write begins: the
+  // model is untouched and keeps serving the float path.
   std::string bytes = ReadAll(store_path);
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
   const std::string bad = store_path + ".corrupt";
@@ -1049,7 +1057,23 @@ TEST(PredictionServiceTest, MmapEmbeddingStoreServesAndDetachesOnReload) {
       EXPECT_EQ(c.count, 0);
     }
   }
+
+  // The store went away with the first reload: a second one has nothing
+  // left to detach and must not claim otherwise.
+  const size_t incidents_before = service.incidents().size();
+  ASSERT_TRUE(service.ReloadModel(weights_path).ok());
+  const std::vector<std::string> incidents = service.incidents();
+  for (size_t i = incidents_before; i < incidents.size(); ++i) {
+    EXPECT_EQ(incidents[i].find("detached"), std::string::npos)
+        << incidents[i];
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(Standby, EmbeddingStoreReloadTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "WithStandby" : "NoStandby";
+                         });
 
 TEST(PredictionServiceTest, EmbeddingStoreGeometryMismatchRejected) {
   ServiceFixture fx("svc_embed_geom");
