@@ -21,7 +21,6 @@
 #include "optim/adam.h"
 #include "tensor/kernels.h"
 #include "tensor/quantized.h"
-#include "tensor/storage_pool.h"
 #include "tensor/tensor_ops.h"
 
 namespace {
@@ -211,36 +210,24 @@ void BM_ArmNetTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ArmNetTrainStep)->Arg(0)->Arg(1);
 
-// Tensor allocation throughput: fresh heap vectors vs the size-bucketed
-// storage pool in steady state (same sizes every round, as in batched
-// inference). The pool's win is skipping malloc/free, not the zero-fill.
+// Tensor allocation cost in steady state (same sizes every round, as in
+// batched inference): heap malloc/free plus the zero-fill, the baseline any
+// future storage-recycling proposal has to beat (DESIGN.md §9).
 void BM_TensorAlloc(benchmark::State& state) {
-  const bool pooled = state.range(0) != 0;
   const int64_t n = 4096 * 10;
-  TensorPool pool;
-  std::unique_ptr<ScopedTensorPool> scope;
-  if (pooled) scope = std::make_unique<ScopedTensorPool>(pool);
   for (auto _ : state) {
     Tensor a{Shape({n})};
     Tensor b{Shape({n / 4})};
     benchmark::DoNotOptimize(a.data());
     benchmark::DoNotOptimize(b.data());
   }
-  state.SetLabel(pooled ? "pooled" : "heap");
-  if (pooled) {
-    const TensorPoolStats stats = pool.stats();
-    state.counters["hit_rate"] =
-        stats.hits + stats.misses > 0
-            ? static_cast<double>(stats.hits) /
-                  static_cast<double>(stats.hits + stats.misses)
-            : 0.0;
-  }
+  state.SetLabel("heap");
 }
-BENCHMARK(BM_TensorAlloc)->Arg(0)->Arg(1);
+BENCHMARK(BM_TensorAlloc);
 
 // Full ARM-Net eval-mode forward pass: the legacy taped configuration vs
-// the tape-free (NoGradGuard) + pooled execution mode every serving entry
-// point now uses. The delta is Table 3's inference speedup at micro scale.
+// the tape-free (NoGradGuard) execution mode every serving entry point now
+// uses. The delta is Table 3's inference speedup at micro scale.
 void BM_ArmNetInference(benchmark::State& state) {
   const bool tape_free = state.range(0) != 0;
   data::SyntheticSpec spec = data::FrappePreset();
@@ -258,20 +245,15 @@ void BM_ArmNetInference(benchmark::State& state) {
   for (int64_t i = 0; i < 512; ++i) all_rows.push_back(i);
   synthetic.dataset.Gather(all_rows, &batch);
   Rng eval_rng(6);
-  TensorPool pool;
   std::unique_ptr<NoGradGuard> no_grad;
-  std::unique_ptr<ScopedTensorPool> scope;
-  if (tape_free) {
-    no_grad = std::make_unique<NoGradGuard>();
-    scope = std::make_unique<ScopedTensorPool>(pool);
-  }
+  if (tape_free) no_grad = std::make_unique<NoGradGuard>();
   autograd::ResetTapeStats();
   for (auto _ : state) {
     Variable out = model.Forward(batch, eval_rng);
     benchmark::DoNotOptimize(out.value().data());
   }
   state.SetItemsProcessed(state.iterations() * batch.batch_size);
-  state.SetLabel(tape_free ? "nograd+pool" : "taped");
+  state.SetLabel(tape_free ? "nograd" : "taped");
   state.counters["tape_nodes_per_iter"] =
       state.iterations() > 0
           ? static_cast<double>(autograd::GetTapeStats().nodes_recorded) /

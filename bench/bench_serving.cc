@@ -1,8 +1,8 @@
 // Serving-path benchmark (DESIGN.md §11, §13): single-request latency
-// through the full validate → map → queue → pooled-forward pipeline, burst
-// behaviour under offered load past the admission bound, hot-reload cost,
-// an open-loop Poisson worker-count × offered-load sweep, and reload churn
-// under sustained load.
+// through the full validate → map → queue → tape-free forward pipeline,
+// burst behaviour under offered load past the admission bound, hot-reload
+// cost, an open-loop Poisson worker-count × offered-load sweep, and reload
+// churn under sustained load.
 //
 // The latency/burst/reload sections run in manual-drain mode on the
 // measuring thread so the numbers are the pipeline's own cost, not

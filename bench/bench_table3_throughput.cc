@@ -23,7 +23,6 @@
 #include "optim/adam.h"
 #include "plan/compiled_predictor.h"
 #include "tensor/backend.h"
-#include "tensor/storage_pool.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -41,10 +40,8 @@ struct Throughput {
   int64_t plan_instructions = 0;
   int64_t plan_fused_ops = 0;
   // Execution-mode observability for the inference loop (DESIGN.md §9):
-  // tape nodes must be 0 under NoGradGuard, and the pool hit rate shows
-  // how much of the steady state reuses buffers instead of allocating.
+  // tape nodes must be 0 under NoGradGuard.
   int64_t tape_nodes = 0;
-  TensorPoolStats pool;
 };
 
 Throughput Measure(const data::Dataset& dataset, int64_t batch_size,
@@ -112,17 +109,15 @@ Throughput Measure(const data::Dataset& dataset, int64_t batch_size,
   // whichever pass a scheduler hiccup landed on.
   constexpr int kInferReps = 3;
 
-  // Interpreted inference: forward only, eval mode, tape-free and
-  // buffer-pooled — the configuration armor/interpret entry points use and
-  // the serving layer's fallback path.
+  // Interpreted inference: forward only, eval mode, tape-free — the
+  // configuration armor/interpret entry points use and the serving layer's
+  // fallback path.
   const int64_t nodes_before = autograd::GetTapeStats().nodes_recorded;
-  TensorPool pool;
   for (int rep = 0; rep < kInferReps; ++rep) {
     tuples = 0;
     watch.Restart();
     {
       NoGradGuard no_grad;
-      ScopedTensorPool scoped_pool(pool);
       for (const data::Batch& eval_batch : eval_batches) {
         Variable out = model.Forward(eval_batch, dropout_rng);
         tuples += eval_batch.batch_size;
@@ -134,7 +129,6 @@ Throughput Measure(const data::Dataset& dataset, int64_t batch_size,
   }
   throughput.tape_nodes =
       autograd::GetTapeStats().nodes_recorded - nodes_before;
-  throughput.pool = pool.stats();
 
   // Compiled inference: trace + fuse + pack once (outside the timed
   // region), then replay the plan over the same batches.
@@ -194,8 +188,6 @@ int main(int argc, char** argv) {
       armnet::data::Diabetes130Preset(scale)};
 
   int64_t inference_tape_nodes = 0;
-  int64_t pool_hits = 0;
-  int64_t pool_misses = 0;
   for (auto& spec : specs) {
     // Throughput only needs enough tuples to fill the measured batches.
     spec.num_tuples =
@@ -224,8 +216,6 @@ int main(int argc, char** argv) {
                 best.compiled > 0 ? best.compiled / best.inference : 0.0);
     std::fflush(stdout);
     inference_tape_nodes += scalar.tape_nodes + simd.tape_nodes;
-    pool_hits += scalar.pool.hits + simd.pool.hits;
-    pool_misses += scalar.pool.misses + simd.pool.misses;
 
     auto add_row = [&](const char* backend, const Throughput& t) {
       armnet::bench::BenchRow& row =
@@ -238,9 +228,6 @@ int main(int argc, char** argv) {
                              : std::numeric_limits<double>::quiet_NaN();
       row.counters.emplace_back("fields", synthetic.dataset.num_fields());
       row.counters.emplace_back("inference_tape_nodes", t.tape_nodes);
-      row.counters.emplace_back("pool_hits", t.pool.hits);
-      row.counters.emplace_back("pool_misses", t.pool.misses);
-      row.counters.emplace_back("pool_bytes_served", t.pool.bytes_served);
       row.counters.emplace_back("plan_instructions", t.plan_instructions);
       row.counters.emplace_back("plan_fused_ops", t.plan_fused_ops);
       row.metrics.emplace_back("train_tuples_per_s", t.train);
@@ -270,16 +257,7 @@ int main(int argc, char** argv) {
   // under NoGradGuard, so not a single tape node may have been recorded.
   ARMNET_CHECK_EQ(inference_tape_nodes, 0)
       << "inference recorded tape nodes despite NoGradGuard";
-  const int64_t pool_total = pool_hits + pool_misses;
-  std::printf("\ninference execution mode: 0 tape nodes recorded; storage "
-              "pool served %lld/%lld allocations from free lists (%.1f%% "
-              "hit rate)\n",
-              static_cast<long long>(pool_hits),
-              static_cast<long long>(pool_total),
-              pool_total > 0
-                  ? 100.0 * static_cast<double>(pool_hits) /
-                        static_cast<double>(pool_total)
-                  : 0.0);
+  std::printf("\ninference execution mode: 0 tape nodes recorded\n");
   std::printf("\npaper-reference (CPU vs GPU): MovieLens 5,454/131,864 "
               "train; Criteo 661/24,717 train; GPU speedup 23.9x-38.1x\n");
   report.WriteIfRequested(json_path);

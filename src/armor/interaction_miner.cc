@@ -5,7 +5,6 @@
 
 #include "autograd/grad_mode.h"
 #include "data/batcher.h"
-#include "tensor/storage_pool.h"
 
 namespace armnet::armor {
 
@@ -14,8 +13,6 @@ std::vector<MinedInteraction> MineInteractions(core::ArmNet& model,
                                                const MinerConfig& config) {
   nn::TrainingModeGuard eval_mode(model, /*training=*/false);
   NoGradGuard no_grad;
-  TensorPool pool;
-  ScopedTensorPool scoped_pool(pool);
   Rng rng(0);
 
   // Key: fields joined by ','. Value: occurrence count over all

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "autograd/grad_mode.h"
-#include "tensor/storage_pool.h"
 
 namespace armnet::armor {
 
@@ -38,10 +37,9 @@ std::vector<double> ArmInterpreter::GlobalFieldImportance() const {
 std::vector<double> ArmInterpreter::GlobalFieldImportance(
     const data::Dataset& dataset, int64_t sample_limit,
     int64_t batch_size) const {
+  ARMNET_CHECK_GT(batch_size, 0);
   nn::TrainingModeGuard eval_mode(*model_, /*training=*/false);
   NoGradGuard no_grad;
-  TensorPool pool;
-  ScopedTensorPool scoped_pool(pool);
   Rng rng(0);
 
   const int m = dataset.num_fields();
@@ -73,8 +71,6 @@ ArmInterpreter::LocalAttribution ArmInterpreter::Explain(
     const data::Dataset& dataset, int64_t row, int top_neurons) const {
   nn::TrainingModeGuard eval_mode(*model_, /*training=*/false);
   NoGradGuard no_grad;
-  TensorPool pool;
-  ScopedTensorPool scoped_pool(pool);
   data::Batch batch;
   dataset.Gather({row}, &batch);
   Rng rng(0);

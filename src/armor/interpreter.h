@@ -32,6 +32,7 @@ class ArmInterpreter {
   // interaction weights over the instance population" reading and is the
   // variant the Figure 8 study uses: after training, the per-instance
   // gates — not the raw value magnitudes — carry the selection signal.
+  // `batch_size` must be positive.
   std::vector<double> GlobalFieldImportance(const data::Dataset& dataset,
                                             int64_t sample_limit = 2048,
                                             int64_t batch_size = 512) const;

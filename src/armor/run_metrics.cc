@@ -6,24 +6,20 @@
 
 namespace armnet::armor {
 
-RunMetrics CaptureRunMetrics(const TensorPool* pool) {
+RunMetrics CaptureRunMetrics() {
   RunMetrics metrics;
   metrics.tape = autograd::GetTapeStats();
-  if (pool != nullptr) {
-    metrics.has_pool = true;
-    metrics.pool = pool->stats();
-  }
   metrics.scopes = prof::ScopeSnapshot();
   metrics.counters = prof::CounterSnapshot();
   return metrics;
 }
 
 RunMetrics CaptureRunMetrics(
-    const TensorPool* pool, std::vector<prof::CounterStats> serve_counters,
+    std::vector<prof::CounterStats> serve_counters,
     std::vector<std::pair<std::string, double>> serve_gauges,
     std::vector<prof::CounterStats> plan_counters,
     std::vector<std::pair<std::string, double>> drift_metrics) {
-  RunMetrics metrics = CaptureRunMetrics(pool);
+  RunMetrics metrics = CaptureRunMetrics();
   metrics.has_serve = true;
   metrics.serve = std::move(serve_counters);
   metrics.serve_gauges = std::move(serve_gauges);
@@ -45,16 +41,6 @@ std::string RunMetricsJson(const RunMetrics& metrics) {
   w.Key("nodes_recorded").Int(metrics.tape.nodes_recorded);
   w.Key("nodes_elided").Int(metrics.tape.nodes_elided);
   w.EndObject();
-  if (metrics.has_pool) {
-    w.Key("pool").BeginObject();
-    w.Key("hits").Int(metrics.pool.hits);
-    w.Key("misses").Int(metrics.pool.misses);
-    w.Key("returns").Int(metrics.pool.returns);
-    w.Key("dropped").Int(metrics.pool.dropped);
-    w.Key("bytes_served").Int(metrics.pool.bytes_served);
-    w.Key("bytes_pooled").Int(metrics.pool.bytes_pooled);
-    w.EndObject();
-  }
   w.Key("scopes").BeginArray();
   for (const prof::ScopeStats& s : metrics.scopes) {
     w.BeginObject();

@@ -6,21 +6,16 @@
 #include <vector>
 
 #include "autograd/grad_mode.h"
-#include "tensor/storage_pool.h"
 #include "util/profiler.h"
 
 namespace armnet::armor {
 
 // One unified observability snapshot (DESIGN.md §10): the autograd tape
-// counters, an optional TensorPool's allocator counters, and — when the
-// profiler is compiled in and enabled — every scope timing and invocation
-// counter recorded so far. Captured by benches after a measured region and
-// by the trainer per epoch; serialized into BENCH_*.json and the epoch
-// telemetry JSONL.
+// counters and — when the profiler is compiled in and enabled — every scope
+// timing and invocation counter recorded so far, plus optional serving,
+// plan and drift sections, serialized as one JSON object.
 struct RunMetrics {
   autograd::TapeStats tape;
-  bool has_pool = false;
-  TensorPoolStats pool;  // zeros unless a pool was supplied at capture
   std::vector<prof::ScopeStats> scopes;
   std::vector<prof::CounterStats> counters;
   // Prediction-service counters (serve::PredictionService::CounterSnapshot),
@@ -46,11 +41,10 @@ struct RunMetrics {
   std::vector<std::pair<std::string, double>> drift;
 };
 
-// Snapshots the process-wide tape stats and profiler registry, plus `pool`'s
-// counters when non-null. Tape and profiler counters are cumulative across
-// threads since their last Reset; bracket the workload with
-// autograd::ResetTapeStats() / prof::Reset() for per-region deltas.
-RunMetrics CaptureRunMetrics(const TensorPool* pool = nullptr);
+// Snapshots the process-wide tape stats and profiler registry. Both are
+// cumulative across threads since their last Reset; bracket the workload
+// with autograd::ResetTapeStats() / prof::Reset() for per-region deltas.
+RunMetrics CaptureRunMetrics();
 
 // As above, additionally embedding a prediction service's counter snapshot
 // (the "serve" section of the JSON), optionally its operating-point gauges
@@ -59,15 +53,13 @@ RunMetrics CaptureRunMetrics(const TensorPool* pool = nullptr);
 // pre-extracted lists so armor depends on neither the serve nor the plan
 // library.
 RunMetrics CaptureRunMetrics(
-    const TensorPool* pool, std::vector<prof::CounterStats> serve_counters,
+    std::vector<prof::CounterStats> serve_counters,
     std::vector<std::pair<std::string, double>> serve_gauges = {},
     std::vector<prof::CounterStats> plan_counters = {},
     std::vector<std::pair<std::string, double>> drift_metrics = {});
 
 // Compact single-line JSON object:
 //   {"tape":{"nodes_recorded":N,"nodes_elided":N},
-//    "pool":{"hits":N,"misses":N,"returns":N,"dropped":N,
-//            "bytes_served":N,"bytes_pooled":N},          // if has_pool
 //    "scopes":[{"name":s,"count":N,"total_ms":f,"min_ms":f,"max_ms":f,
 //               "p50_ms":f,"p99_ms":f},...],
 //    "counters":[{"name":s,"count":N},...],

@@ -169,14 +169,6 @@ TrainResult Fit(models::TabularModel& model, const data::Splits& splits,
         w.Key("eval_nodes_recorded").Int(validation.tape_nodes_recorded);
         w.Key("eval_nodes_elided").Int(validation.tape_nodes_elided);
         w.EndObject();
-        w.Key("eval_pool").BeginObject();
-        w.Key("hits").Int(validation.pool.hits);
-        w.Key("misses").Int(validation.pool.misses);
-        w.Key("returns").Int(validation.pool.returns);
-        w.Key("dropped").Int(validation.pool.dropped);
-        w.Key("bytes_served").Int(validation.pool.bytes_served);
-        w.Key("bytes_pooled").Int(validation.pool.bytes_pooled);
-        w.EndObject();
         w.Key("incidents").BeginArray();
         for (size_t i = incidents_reported; i < result.incidents.size();
              ++i) {
@@ -389,8 +381,8 @@ TrainResult Fit(models::TabularModel& model, const data::Splits& splits,
     result.epochs_run = epoch + 1;
     const autograd::TapeStats epoch_tape_after = autograd::GetTapeStats();
 
-    // Evaluate runs tape-free under NoGradGuard with pooled storage and
-    // restores the model's training mode on exit (see armor/evaluator.cc).
+    // Evaluate runs tape-free under NoGradGuard and restores the model's
+    // training mode on exit (see armor/evaluator.cc).
     const EvalResult validation =
         Evaluate(model, splits.validation, config.batch_size);
     // Selection metric, oriented so larger is better.

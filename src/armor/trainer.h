@@ -67,7 +67,7 @@ struct TrainConfig {
   // --- Observability (see DESIGN.md §10) -------------------------------
   // JSONL file appended with one record per completed epoch: train loss,
   // validation metrics, mean gradient norm, learning rate, epoch wall
-  // time, tape/pool counters, and the incidents raised since the previous
+  // time, tape counters, and the incidents raised since the previous
   // record. Empty derives "<checkpoint_dir>/epochs.jsonl" when checkpoints
   // are on; telemetry is off when both are empty. Write failures disable
   // telemetry for the rest of the run (with an incident) — they never

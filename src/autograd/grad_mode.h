@@ -9,7 +9,7 @@
 // no tape node, backward closure, or input-retaining shared_ptr is created
 // for any op — even when the inputs require grad — so an inference pass is
 // graph-free: the only live tensors are the op outputs themselves, and they
-// die (or return to the active TensorPool) as soon as the caller drops them.
+// die as soon as the caller drops them.
 //
 // The flag is thread-local: an evaluator running under NoGradGuard on one
 // thread never disables tape recording for a trainer on another.

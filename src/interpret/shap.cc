@@ -3,7 +3,6 @@
 
 #include "autograd/grad_mode.h"
 #include "interpret/attribution.h"
-#include "tensor/storage_pool.h"
 #include "util/rng.h"
 
 namespace armnet::interpret {
@@ -62,8 +61,6 @@ Attribution ShapAttribution(models::TabularModel& model,
 
   nn::TrainingModeGuard eval_mode(model, /*training=*/false);
   NoGradGuard no_grad;
-  TensorPool pool;
-  ScopedTensorPool scoped_pool(pool);
   Rng eval_rng(0);
   Variable out = model.Forward(batch, eval_rng);
   const Tensor& logits = out.value();

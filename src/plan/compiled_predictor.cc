@@ -5,7 +5,6 @@
 
 #include "plan/planner.h"
 #include "plan/tracer.h"
-#include "tensor/storage_pool.h"
 #include "util/fault_injection.h"
 #include "util/profiler.h"
 
@@ -21,11 +20,6 @@ std::shared_ptr<const Program> CompiledPredictor::EnsureCompiled(
   MutexLock lock(mutex_);
   auto it = cache_.find(batch.batch_size);
   if (it != cache_.end()) return it->second.program;
-
-  // A pool on this thread makes tracing unsound (see plan/tracer.h). It is
-  // transient scope state, not a property of the model, so don't cache a
-  // negative entry — the next pool-free call compiles.
-  if (tensor_internal::PoolActive()) return nullptr;
 
   Entry entry;
   if (fault::ShouldFail(fault::kSiteServePlanCompile,

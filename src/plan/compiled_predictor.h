@@ -21,8 +21,7 @@ namespace armnet::plan {
 // TryRun is the whole contract: it compiles on first sight of a batch size
 // (trace + fuse + pack), executes the cached plan on every later hit, and
 // returns false whenever compiled execution is not available — compile
-// failed (uncovered op, injected fault), tracing is impossible right now
-// (TensorPool installed on this thread), or the model was never compilable.
+// failed (uncovered op, injected fault) or the model was never compilable.
 // The caller falls back to the interpreted forward; a compile failure is
 // cached so an uncompilable model pays the trace cost once, not per batch.
 //

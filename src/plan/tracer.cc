@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "autograd/trace_hook.h"
-#include "tensor/storage_pool.h"
 #include "util/profiler.h"
 
 namespace armnet::plan {
@@ -278,11 +277,6 @@ class TraceBuilder : public ag::trace::TraceSink {
 StatusOr<Program> Trace(models::TabularModel& model,
                         const data::Batch& probe) {
   ARMNET_PROFILE_SCOPE("plan/trace");
-  if (tensor_internal::PoolActive()) {
-    return Status::Error(
-        "plan tracer: cannot trace with a TensorPool installed (recycled "
-        "buffers break pointer-identity slot keying)");
-  }
   if (probe.batch_size <= 0 || probe.num_fields <= 0 ||
       static_cast<int64_t>(probe.ids.size()) !=
           probe.batch_size * probe.num_fields) {

@@ -24,9 +24,6 @@ namespace armnet::plan {
 // Preconditions (returned as errors, never aborts):
 //   * `model` is in eval mode — a training-mode dropout mask would be
 //     captured as a constant and silently baked into every execution;
-//   * no TensorPool is installed on this thread — identity keying needs
-//     every traced output to get fresh storage (the tracer keeps them all
-//     alive for the duration so the heap cannot reuse a live pointer);
 //   * every traced op is covered by the VM's opcode set — a model using an
 //     uncovered op is reported uncompilable and served interpreted.
 StatusOr<Program> Trace(models::TabularModel& model, const data::Batch& probe);

@@ -44,11 +44,9 @@ const char* OpCodeName(OpCode op) {
 ExecutionContext CreateContext(const Program& prog) {
   ARMNET_CHECK(prog.planned);
   ExecutionContext ctx;
-  // Uninitialized: every arena byte is written before it is read — op
-  // outputs cover their whole slot (SumOut zero-fills its own window), and
-  // batch-value slots are filled by the Execute prologue.
-  ctx.arena = Tensor::Uninitialized(
-      Shape({std::max<int64_t>(prog.arena_floats, 1)}));
+  // Allocated once per context; the context is then reused from the
+  // freelist, so a cached-plan replay allocates no tensor.
+  ctx.arena = Tensor(Shape({std::max<int64_t>(prog.arena_floats, 1)}));
   ctx.bound.reserve(prog.slots.size());
   for (size_t s = 0; s < prog.slots.size(); ++s) {
     const SlotDef& def = prog.slots[s];

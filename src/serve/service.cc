@@ -566,14 +566,12 @@ bool PredictionService::ForwardBatch(int slot, const data::Batch& b,
   // forward is a pure read — safe concurrently from every worker.
   //
   // Fast path: the slot's compiled plan replays the forward out of its
-  // preallocated arena. TryRun compiles on a batch-size miss (which is why
-  // it runs outside the pool scope below — tracing needs unpooled storage)
-  // and refuses whenever compiled execution is unavailable; then the
-  // interpreted tape-free + pooled forward answers instead.
+  // preallocated arena. TryRun compiles on a batch-size miss and refuses
+  // whenever compiled execution is unavailable; then the interpreted
+  // tape-free forward answers instead.
   const Slot& s = slots_[slot];
   if (s.predictor == nullptr || !s.predictor->TryRun(b, logits)) {
     NoGradGuard no_grad;
-    ScopedTensorPool scoped_pool(pool_);
     Rng rng(0);  // eval mode uses no randomness
     Variable out = s.model->Forward(b, rng);
     const Tensor& values = out.value();

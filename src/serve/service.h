@@ -18,7 +18,6 @@
 #include "serve/drift_monitor.h"
 #include "serve/shadow.h"
 #include "tensor/quantized.h"
-#include "tensor/storage_pool.h"
 #include "util/clock.h"
 #include "util/profiler.h"
 #include "util/status.h"
@@ -45,8 +44,8 @@ namespace armnet::serve {
 //   forward    N worker threads (ServeOptions::num_workers) drain the queue
 //              concurrently; batch accumulation adapts to the measured p99
 //              against ServeOptions::latency_budget_seconds (see
-//              serve/batch_policy.h); the forward runs NoGradGuard + pooled
-//              under the breaker, non-finite logits count as failures
+//              serve/batch_policy.h); the forward runs tape-free under the
+//              breaker, non-finite logits count as failures
 //   degrade    when the breaker is open or the forward failed: fallback
 //              model if configured, else the train-prior logit, else
 //              kUnavailable — a typed answer in every case
@@ -56,7 +55,7 @@ namespace armnet::serve {
 // of a preallocated arena — zero tensor allocations at steady state, bit-
 // identical logits to the interpreted forward. Any batch the plan cannot
 // serve (compile failed, uncovered op, plan_compile fault injected) falls
-// back to the interpreted NoGradGuard + pooled path in the same call —
+// back to the interpreted NoGradGuard forward in the same call —
 // compilation is an optimization, never an availability dependency. The
 // fallback model always runs interpreted.
 //
@@ -449,8 +448,8 @@ class PredictionService {
       const std::vector<std::shared_ptr<PendingPrediction>>& batch) const;
   // Forwards the assembled batch through slot `slot`'s model; returns false
   // if any logit came back non-finite. Serves from the slot's compiled plan
-  // when it has one, else from the interpreted NoGradGuard + pooled
-  // forward. The caller must hold a reader reference on the slot.
+  // when it has one, else from the interpreted NoGradGuard forward. The
+  // caller must hold a reader reference on the slot.
   bool ForwardBatch(int slot, const data::Batch& b,
                     std::vector<float>* logits);
   void Degrade(const std::vector<std::shared_ptr<PendingPrediction>>& batch,
@@ -511,8 +510,6 @@ class PredictionService {
   CondVar model_cv_;
   int active_index_ ARMNET_GUARDED_BY(model_mutex_) = 0;
   SlotState state_[kNumSlots] ARMNET_GUARDED_BY(model_mutex_);
-
-  TensorPool pool_;  // internally synchronized
 
   Mutex queue_mutex_;
   CondVar queue_cv_;

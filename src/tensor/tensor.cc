@@ -2,30 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
-#include "tensor/storage_pool.h"
 #include "util/string_util.h"
 
 namespace armnet {
+
+namespace {
+
+// Tensor storage buffers allocated on this thread; see StorageAllocations().
+thread_local int64_t g_storage_allocations = 0;
+
+// The one allocation path for tensor storage: every buffer a Tensor owns is
+// a std::vector<float> constructed here from `args`.
+template <typename... Args>
+std::shared_ptr<std::vector<float>> NewStorage(Args&&... args) {
+  ++g_storage_allocations;
+  return std::make_shared<std::vector<float>>(std::forward<Args>(args)...);
+}
+
+}  // namespace
 
 Tensor::Tensor(Shape shape) : shape_(std::move(shape)) {
   for (int64_t d : shape_.dims()) {
     ARMNET_CHECK_GE(d, 0) << "cannot allocate shape " << shape_.ToString();
   }
-  storage_ = tensor_internal::AllocateStorage(
-      static_cast<size_t>(shape_.numel()), /*zero=*/true);
+  storage_ = NewStorage(static_cast<size_t>(shape_.numel()));
 }
 
-Tensor Tensor::Uninitialized(Shape shape) {
-  for (int64_t d : shape.dims()) {
-    ARMNET_CHECK_GE(d, 0) << "cannot allocate shape " << shape.ToString();
-  }
-  Tensor t;
-  t.shape_ = std::move(shape);
-  t.storage_ = tensor_internal::AllocateStorage(
-      static_cast<size_t>(t.shape_.numel()), /*zero=*/false);
-  return t;
-}
+int64_t Tensor::StorageAllocations() { return g_storage_allocations; }
 
 Tensor Tensor::Full(Shape shape, float value) {
   Tensor t(std::move(shape));
@@ -43,7 +48,7 @@ Tensor Tensor::FromVector(Shape shape, std::vector<float> values) {
   ARMNET_CHECK_EQ(shape.numel(), static_cast<int64_t>(values.size()))
       << "FromVector: shape " << shape.ToString() << " does not match vector";
   Tensor t;
-  t.storage_ = std::make_shared<std::vector<float>>(std::move(values));
+  t.storage_ = NewStorage(std::move(values));
   t.shape_ = std::move(shape);
   return t;
 }
@@ -106,10 +111,8 @@ Tensor Tensor::ViewSlice(int64_t offset, Shape shape) const {
 
 Tensor Tensor::Clone() const {
   if (!defined()) return Tensor();
-  const size_t n = static_cast<size_t>(numel());
   Tensor copy;
-  copy.storage_ = tensor_internal::AllocateStorage(n, /*zero=*/false);
-  std::copy(data(), data() + n, copy.storage_->begin());
+  copy.storage_ = NewStorage(data(), data() + numel());
   copy.shape_ = shape_;
   return copy;
 }

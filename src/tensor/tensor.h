@@ -27,19 +27,18 @@ class Tensor {
   // numel() == 0 distinguishes "no tensor yet").
   Tensor() = default;
 
-  // Zero-filled tensor of the given shape (all dims must be concrete).
-  // Storage comes from the current thread's TensorPool when one is active
-  // (see tensor/storage_pool.h), otherwise from the heap.
+  // Zero-filled tensor of the given shape (all dims must be concrete), on
+  // fresh heap storage.
   explicit Tensor(Shape shape);
+
+  // Storage buffers allocated by Tensor construction, FromVector and Clone
+  // on the calling thread so far. Reading it before and after a region
+  // counts the tensors that region allocates.
+  static int64_t StorageAllocations();
 
   // --- Factories ---------------------------------------------------------
 
   static Tensor Zeros(Shape shape) { return Tensor(std::move(shape)); }
-  // Like Tensor(Shape) but skips the zero fill: recycled pool buffers keep
-  // their stale contents. Only for buffers every element of which the caller
-  // overwrites before reading (the plan arena's fully-written slots); all
-  // other acquisition paths keep the zeroing contract.
-  static Tensor Uninitialized(Shape shape);
   static Tensor Ones(Shape shape) { return Full(std::move(shape), 1.0f); }
   static Tensor Full(Shape shape, float value);
   // Rank-0 scalar.

@@ -530,7 +530,7 @@ TEST(DriftMetricsTest, RunMetricsJsonCarriesDriftSection) {
   }
   Pump(service);
   const armor::RunMetrics metrics = armor::CaptureRunMetrics(
-      nullptr, service.CounterSnapshot(), service.GaugeSnapshot(),
+      service.CounterSnapshot(), service.GaugeSnapshot(),
       service.PlanCounterSnapshot(), service.DriftMetricsSnapshot());
   ASSERT_TRUE(metrics.has_drift);
   const std::string json = armor::RunMetricsJson(metrics);

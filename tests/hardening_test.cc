@@ -1,7 +1,8 @@
 // Coverage for the hardened runtime-check layer: bounds-checked Tensor::at()
 // accessors, kernel-dispatcher precondition DCHECKs, autograd shape
-// contracts, and the NDEBUG swallow semantics of ARMNET_DCHECK (via
-// check_ndebug_tu.cc, which is always compiled with NDEBUG).
+// contracts, argument checks on batched loops, and the NDEBUG swallow
+// semantics of ARMNET_DCHECK (via check_ndebug_tu.cc, which is always
+// compiled with NDEBUG).
 //
 // Death tests exercise checks that are active in this build (the repo's
 // Release build keeps DCHECKs on — NDEBUG is never defined); they are
@@ -9,8 +10,11 @@
 
 #include <cstdint>
 
+#include "armor/interpreter.h"
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "core/arm_net.h"
+#include "data/synthetic.h"
 #include "gtest/gtest.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
@@ -141,6 +145,32 @@ TEST(IndexedOpDeathTest, ScatterAddRowsOutOfRangeIdAborts) {
   Tensor src = Tensor::Zeros(Shape({1, 2}));
   EXPECT_DEATH(tmath::ScatterAddRows(dest, {4}, src), "out of range");
   EXPECT_DEATH(tmath::ScatterAddRows(dest, {-2}, src), "out of range");
+}
+
+// A non-positive batch size would step the sampling loop by <= 0 and never
+// terminate; it must abort instead, as data::Batcher does.
+TEST(BatchedLoopDeathTest, GlobalFieldImportanceRejectsNonPositiveBatch) {
+  ARMNET_SKIP_DEATH_TESTS();
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  data::SyntheticSpec spec;
+  spec.name = "hardening";
+  spec.fields = {{"f0", data::FieldType::kCategorical, 4},
+                 {"f1", data::FieldType::kCategorical, 3}};
+  spec.num_tuples = 16;
+  const data::SyntheticDataset synthetic = data::GenerateSynthetic(spec);
+  core::ArmNetConfig config;
+  config.embed_dim = 2;
+  config.num_heads = 1;
+  config.neurons_per_head = 2;
+  config.hidden = {4};
+  Rng rng(5);
+  core::ArmNet model(synthetic.dataset.schema().num_features(),
+                     synthetic.dataset.num_fields(), config, rng);
+  const armor::ArmInterpreter interpreter(&model);
+  EXPECT_DEATH(interpreter.GlobalFieldImportance(synthetic.dataset, 8, 0),
+               "CHECK failed");
+  EXPECT_DEATH(interpreter.GlobalFieldImportance(synthetic.dataset, 8, -3),
+               "CHECK failed");
 }
 
 TEST(NdebugDcheckTest, SwallowsFailingConditionsWithoutAborting) {

@@ -929,7 +929,7 @@ TEST(ServeE2ETest, TrainPersistServeDemo) {
   EXPECT_EQ(counters.clamped_fields, 1);
 
   const armor::RunMetrics metrics = armor::CaptureRunMetrics(
-      nullptr, service.CounterSnapshot(), service.GaugeSnapshot(),
+      service.CounterSnapshot(), service.GaugeSnapshot(),
       service.PlanCounterSnapshot());
   const std::string json = armor::RunMetricsJson(metrics);
   EXPECT_NE(json.find("\"serve\""), std::string::npos) << json;

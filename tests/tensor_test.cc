@@ -4,11 +4,11 @@
 #include "tensor/tensor_ops.h"
 
 #include <cmath>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "tensor/kernels.h"
-#include "tensor/storage_pool.h"
 
 namespace armnet {
 namespace {
@@ -330,49 +330,28 @@ TEST(BackendTest, NamesAndSwitch) {
   SetBackend(original);
 }
 
-// The two storage-acquisition contracts, exercised on the same recycled
-// pool buffer. Tensor(Shape) promises zeros no matter where the buffer came
-// from; Tensor::Uninitialized skips the re-zero pass for consumers that
-// overwrite every element before reading (the plan arena, whose slots are
-// fully defined by the instruction that owns them).
-TEST(StoragePoolTest, RecycledBufferZeroingContracts) {
-  TensorPool pool;
-  ScopedTensorPool scoped(pool);
-  const float* recycled = nullptr;
-  {
-    Tensor t(Shape({8}));
-    t.Fill(3.5f);
-    recycled = t.data();
-  }  // storage returns to the pool's free list
+// StorageAllocations counts every buffer a Tensor allocates on this thread
+// and nothing else: views and copies share storage, and other threads keep
+// their own count.
+TEST(TensorTest, StorageAllocationsCountsBuffersOnThisThread) {
+  const int64_t before = Tensor::StorageAllocations();
+  Tensor zeros(Shape({4, 3}));
+  Tensor from = Tensor::FromVector(Shape({2}), {1.0f, 2.0f});
+  Tensor window = zeros.ViewSlice(3, Shape({3}));
+  Tensor reshaped = zeros.Reshape(Shape({12}));
+  Tensor shared = from;
+  EXPECT_EQ(Tensor::StorageAllocations() - before, 2);
 
-  // Zeroing contract: a pool hit hands back the recycled buffer, and the
-  // stale 3.5s must have been wiped.
-  {
-    Tensor t(Shape({8}));
-    ASSERT_EQ(t.data(), recycled);
-    for (int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 0.0f);
-    t.Fill(7.25f);
-  }
+  window.Fill(5.0f);
+  Tensor copy = window.Clone();
+  EXPECT_EQ(Tensor::StorageAllocations() - before, 3);
+  EXPECT_NE(copy.data(), window.data());
+  EXPECT_EQ(copy.numel(), 3);
+  for (int64_t i = 0; i < copy.numel(); ++i) EXPECT_EQ(copy[i], 5.0f);
 
-  // Non-zeroing acquisition: Uninitialized reuses the same buffer without
-  // the memset — the previous tenant's contents are still visible, which is
-  // exactly the pass the arena does not want to pay per batch.
-  {
-    Tensor t = Tensor::Uninitialized(Shape({8}));
-    ASSERT_EQ(t.data(), recycled);
-    for (int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 7.25f);
-  }
-  EXPECT_EQ(pool.stats().hits, 2);
-  EXPECT_EQ(pool.stats().misses, 1);
-}
-
-// Off the pool, both factories get fresh heap storage; Uninitialized makes
-// no content promise but must still be fully writable and sized right.
-TEST(StoragePoolTest, UninitializedOffPoolIsWritable) {
-  Tensor t = Tensor::Uninitialized(Shape({3, 4}));
-  EXPECT_EQ(t.numel(), 12);
-  t.Fill(1.0f);
-  for (int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 1.0f);
+  std::thread other([] { Tensor t(Shape({8})); });
+  other.join();
+  EXPECT_EQ(Tensor::StorageAllocations() - before, 3);
 }
 
 }  // namespace

@@ -55,6 +55,10 @@ tooling"):
                program; reaching into tape internals (variable.h, ops.h,
                grad_mode.h) would silently re-couple the VM to the
                interpreter it exists to bypass
+  pool-shim    no file under src/, tests/, bench/ or examples/ includes
+               tensor/storage_pool.h: the tensor storage pool is deleted and
+               the header is an empty shim kept only for armbench/armbench.cc
+               until the benchmark harness drops it, so it gains no new users
 
 Usage:
   tools/lint.py                 # run all text lints on src/ and tools/
@@ -368,6 +372,24 @@ def check_mmap_isolation():
                        "the mapping lifetime and validation stay owned")
 
 
+# The deleted tensor storage pool survives only as an empty header that the
+# benchmark harness (armbench/, outside the scanned trees) still includes.
+POOL_SHIM_DIRS = ("src", "tests", "bench", "examples")
+POOL_SHIM_INCLUDE_RE = re.compile(r'#include\s+"tensor/storage_pool\.h"')
+
+
+def check_pool_shim():
+    for d in POOL_SHIM_DIRS:
+        root = REPO_ROOT / d
+        for path in sorted(list(root.rglob("*.h")) + list(root.rglob("*.cc"))):
+            for lineno, raw in enumerate(path.read_text().splitlines(),
+                                         start=1):
+                if POOL_SHIM_INCLUDE_RE.search(strip_comments(raw)):
+                    report(path, lineno, "pool-shim",
+                           "includes the tensor/storage_pool.h shim; tensors "
+                           "take heap storage directly (tensor/tensor.h)")
+
+
 def check_layering():
     import layering
     findings.extend(layering.check_files(layering.load_repo_files()))
@@ -430,6 +452,7 @@ def main() -> int:
     check_plan_trace_isolation()
     check_mutex_facade()
     check_mmap_isolation()
+    check_pool_shim()
     check_ts_escapes()
     check_layering()
     check_suppression_policy()
